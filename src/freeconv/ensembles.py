@@ -11,9 +11,12 @@ rank deficiency -- N_s - min_i N_i zeros, whether the chain narrows at
 an end or in its interior -- shows up as an exact zero block that is
 recorded rather than diagonalised.
 
+Eigenvalues come from LAPACK (``np.linalg.eigvalsh``).
+
 Reproducibility: sample j draws from a PCG64 stream seeded with
-``seed XOR j``, and Gaussians are produced by the polar Box-Muller map
-from the stream's uniforms, so results are bit-identical for a given
+``SeedSequence([seed, j])``, so distinct (seed, j) pairs get
+independent streams, and Gaussians come from the stream's
+``standard_normal``; results are bit-identical for a given
 (config, seed) regardless of how samples are scheduled.
 """
 
@@ -26,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._eigen import householder_tridiagonal, tql_implicit
 from .errors import ConvergenceError, DomainError, ShapeError
 from .measures import Arcsine, MarchenkoPastur, _rational_coerce
 
@@ -44,8 +46,9 @@ __all__ = [
 # eigenvalues at or below this fraction of the largest count as zeros
 _ZERO_RTOL = 1e-8
 
-RNG_INFO = ("PCG64 stream per sample, stream seed = seed XOR sample_index; "
-            "complex Gaussians via polar Box-Muller from stream uniforms")
+RNG_INFO = ("PCG64 stream per sample, seeded by SeedSequence([seed, sample_index]); "
+            "complex Gaussians via standard_normal, real and imaginary parts "
+            "of variance 1/2")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,8 @@ class EnsembleConfig:
             raise DomainError("shape ratios must be positive")
         if self.samples < 1:
             raise DomainError("need at least one sample")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
         if self.unitary_sum_k < 0:
             raise DomainError("unitary summand count must be >= 0")
 
@@ -152,14 +157,13 @@ def config_for_measure(spec, n=256, samples=40, seed=0):
 
 
 def _stream(seed, index):
-    return np.random.Generator(np.random.PCG64(int(seed) ^ int(index)))
+    ss = np.random.SeedSequence([int(seed), int(index)])
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _complex_gaussian(rng, rows, cols):
-    # polar Box-Muller: sqrt(-ln U) e^{2 pi i V} is CN(0, 1)
-    u = 1.0 - rng.random((rows, cols))
-    v = rng.random((rows, cols))
-    return np.sqrt(-np.log(u)) * np.exp(2j * np.pi * v)
+    # interleaved real/imaginary N(0, 1) pairs scaled to CN(0, 1)
+    return rng.standard_normal((rows, 2 * cols)).view(np.complex128) * math.sqrt(0.5)
 
 
 def sample_ginibre(rows, cols, rng):
@@ -180,38 +184,15 @@ def sample_haar_unitary(n, rng):
     return q * (diag / np.abs(diag))
 
 
-def hermitian_eigenvalues(h, pair_tol=1e-8):
-    """All eigenvalues of a complex Hermitian matrix, ascending.
-
-    The N x N Hermitian matrix is embedded into the 2N x 2N real
-    symmetric block form [[Re H, -Im H], [Im H, Re H]], reduced by
-    Householder transforms and diagonalised by implicit-shift QL; the
-    exactly doubled spectrum is then collapsed by pairing sorted
-    neighbours.
-    """
+def hermitian_eigenvalues(h):
+    """All eigenvalues of a complex Hermitian matrix, ascending (LAPACK)."""
     H = np.asarray(h, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ShapeError("expected a square matrix")
     herm_defect = np.abs(H - H.conj().T).max()
     if herm_defect > 1e-10 * max(1.0, np.abs(H).max()):
         raise DomainError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
-    n = H.shape[0]
-    if n == 1:
-        return np.array([H[0, 0].real])
-    emb = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    emb = 0.5 * (emb + emb.T)
-    d, e = householder_tridiagonal(emb)
-    status = tql_implicit(d, e)
-    if status != 0:
-        raise ConvergenceError("QL iteration exceeded 50 sweeps for an eigenvalue")
-    vals = np.sort(d)
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    pairs = vals.reshape(n, 2)
-    gaps = pairs[:, 1] - pairs[:, 0]
-    if float(gaps.max()) > pair_tol * scale:
-        raise ConvergenceError(
-            f"doubled-spectrum pairing gap {gaps.max():.2e} exceeds tolerance")
-    return pairs.mean(axis=1)
+    return np.linalg.eigvalsh(H)
 
 
 def build_sample(cfg, rng):
@@ -257,10 +238,11 @@ def build_sample(cfg, rng):
 def simulate(cfg):
     """Draw all samples and pool the rescaled eigenvalues.
 
-    Independent per-sample RNG streams make the result bit-identical
-    for a given (config, seed) no matter how the samples are scheduled;
-    the FREECONV_THREADS environment variable sizes an optional thread
-    pool (matrix kernels release the GIL).
+    Sample j draws from its own stream, seeded by
+    ``SeedSequence([seed, j])``, so the result is bit-identical for a
+    given (config, seed) no matter how the samples are scheduled; the
+    FREECONV_THREADS environment variable sizes an optional thread pool
+    (matrix kernels release the GIL).
     """
     threads = int(os.environ.get("FREECONV_THREADS", "1"))
 

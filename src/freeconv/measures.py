@@ -96,13 +96,14 @@ def _nth_root_fraction(value, n):
         return None
 
     def iroot(m):
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
+        # integer Newton from 2^ceil(bits/n) >= m^(1/n), decreasing to the floor
+        x = 1 << -(-m.bit_length() // n)
+        while True:
+            y = ((n - 1) * x + m // x ** (n - 1)) // n
+            if y >= x:
+                break
+            x = y
+        return x if x ** n == m else None
 
     p = iroot(value.numerator)
     q = iroot(value.denominator)

@@ -33,6 +33,12 @@ class TestGinibre:
         with pytest.raises(DomainError):
             E.sample_ginibre(0, 3, rng())
 
+    def test_real_and_imaginary_parts_have_variance_half(self):
+        g = E.sample_ginibre(500, 500, rng(4))
+        assert abs(g.real.var() - 0.5) < 0.01
+        assert abs(g.imag.var() - 0.5) < 0.01
+        assert abs(np.mean(g.real * g.imag)) < 0.01
+
 
 class TestHaarUnitary:
     def test_unitarity(self):
@@ -118,6 +124,12 @@ class TestSimulate:
         a = E.simulate(cfg)
         b = E.simulate(cfg)
         assert np.array_equal(a.values, b.values)
+
+    def test_streams_of_neighbouring_seeds_differ(self):
+        # (seed, j) = (2024, 1) and (2025, 0) must not share a stream
+        a = E._stream(2024, 1).standard_normal(8)
+        b = E._stream(2025, 0).standard_normal(8)
+        assert not np.array_equal(a, b)
 
     def test_determinism_under_threading(self):
         cfg = E.EnsembleConfig(n=32, ginibre_shape_ratios=(1,), samples=6, seed=12)

@@ -106,6 +106,31 @@ class TestCli:
         assert rows["2"] == "5/2"
         assert rows["3"] == "8"
 
+    def test_moments_with_huge_rational_factor(self, capsys):
+        # clearing the 1/2 power turns S(0) into (10^53 + 1)^2, whose
+        # exact square root lies beyond float precision
+        big = 10 ** 53 + 1
+        code, out, _ = self.run(
+            ["moments", "--measure", f"mp(1)^(1/2)*rat({big};1)",
+             "-K", "2"], capsys)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+        assert rows["1"] == f"1/{big}"
+        code, out, _ = self.run(
+            ["moments", "--measure", f"mp(1)^(1/2)*rat({10 ** 400};1)",
+             "-K", "2"], capsys)
+        assert code == 0
+        rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+        assert rows["1"] == f"1/{10 ** 400}"
+
+    def test_negative_seed_is_a_typed_error(self, capsys):
+        for argv in (["simulate", "--n", "8", "--seed", "-1"],
+                     ["compare", "--measure", "mp(1)",
+                      "--simulate", "N=8,samples=1,seed=-3"]):
+            code, out, err = self.run(argv, capsys)
+            assert code == 1 and out == ""
+            assert err == "error: seed must be non-negative\n"
+
     def test_simulate_json(self, capsys):
         code, out, _ = self.run(
             ["simulate", "--n", "24", "--samples", "2", "--seed", "3",

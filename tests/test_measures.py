@@ -220,3 +220,17 @@ class TestLabels:
         ]
         for spec in specs:
             assert parse_measure(spec.label()) == spec
+
+
+class TestNthRootFraction:
+    def test_perfect_powers_beyond_float_precision(self):
+        assert M._nth_root_fraction(F(3 ** 400), 400) == 3
+        assert M._nth_root_fraction(F((10 ** 40 + 1) ** 2), 2) == 10 ** 40 + 1
+        assert M._nth_root_fraction(F(1, (10 ** 40 + 1) ** 2), 2) == F(1, 10 ** 40 + 1)
+
+    def test_beyond_float_range(self):
+        assert M._nth_root_fraction(F(10 ** 400), 2) == 10 ** 200
+
+    def test_non_power_is_none(self):
+        assert M._nth_root_fraction(F((10 ** 40 + 1) ** 2 + 1), 2) is None
+        assert M._nth_root_fraction(F(2, 9), 2) is None
