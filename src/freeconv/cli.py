@@ -21,11 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import closedform, ensembles, grammar, isotropic, measures, moments, resolvent
-from .errors import FreeconvError, ParseError
-
-
-def _fmt(v):
-    return repr(float(v))
+from .errors import DomainError, FreeconvError, ParseError
+from .resolvent import _fmt
 
 
 def _emit(text, out_path):
@@ -36,10 +33,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _poly_for(spec):
-    return measures.build_resolvent(spec)
-
-
 def _curve_for(target, n_points, edge_margin):
     fam, spec = grammar.parse_target(target)
     if fam is not None:
@@ -47,15 +40,16 @@ def _curve_for(target, n_points, edge_margin):
             fam.density, fam.support, fam.atom,
             n_points=n_points, edge_margin=edge_margin,
             edge_powers=fam.edge_powers)
-    return resolvent.density_curve(_poly_for(spec), n_points=n_points,
+    return resolvent.density_curve(measures.build_resolvent(spec), n_points=n_points,
                                    edge_margin=edge_margin)
 
 
-def _model_cdf_for(target):
-    fam, spec = grammar.parse_target(target)
+def _model_cdf(fam, poly):
+    """The CDF a Monte Carlo spectrum is compared against: the closed
+    form for an alias ``fam``, the resolvent's for ``poly`` otherwise."""
     if fam is not None:
         return closedform.cdf_interpolator(fam)
-    return resolvent.cdf_interpolator(_poly_for(spec))
+    return resolvent.cdf_interpolator(poly)
 
 
 def cmd_density(args):
@@ -67,12 +61,8 @@ def cmd_density(args):
 
 def cmd_support(args):
     fam, spec = grammar.parse_target(args.measure)
-    if fam is not None:
-        (lo, hi), atom = closedform.support(fam)
-    else:
-        poly = _poly_for(spec)
-        lo, hi = resolvent.support_edges(poly)
-        atom = resolvent.density_curve(poly, n_points=8).atom_at_zero
+    source = fam if fam is not None else resolvent.density_source(measures.build_resolvent(spec))
+    (lo, hi), atom = source.support, source.atom
     if args.format == "csv":
         _emit(f"x_lo,x_hi\n{_fmt(lo)},{_fmt(hi)}\n", args.out)
     else:
@@ -83,7 +73,7 @@ def cmd_support(args):
 
 def cmd_moments(args):
     _, spec = grammar.parse_target(args.measure)
-    ms = moments.moments_from_resolvent(_poly_for(spec), args.order)
+    ms = moments.moments_from_resolvent(measures.build_resolvent(spec), args.order)
     lines = ["n,m_n"]
     for n, m in enumerate(ms.values):
         lines.append(f"{n},{_fmt(m) if args.decimal else str(m)}")
@@ -92,7 +82,11 @@ def cmd_moments(args):
 
 
 def _config_from_args(args):
-    shapes = tuple(Fraction(tok) for tok in args.shapes.split(",")) if args.shapes else (Fraction(1),)
+    try:
+        shapes = tuple(Fraction(tok) for tok in (args.shapes or "1").split(","))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad shape ratios {args.shapes!r}: expected rationals "
+                          "such as 1,1/2") from None
     return ensembles.EnsembleConfig(
         n=args.n,
         ginibre_shape_ratios=shapes,
@@ -131,11 +125,10 @@ def cmd_simulate(args):
         "eigenvalues": [float(v) for v in spectrum.values],
     }
     if args.ks_against:
-        report["ks"] = {
-            "measure": args.ks_against,
-            "distance": ensembles.ks_distance(spectrum,
-                                              _model_cdf_for(args.ks_against)),
-        }
+        fam, spec = grammar.parse_target(args.ks_against)
+        model = _model_cdf(fam, measures.build_resolvent(spec))
+        report["ks"] = {"measure": args.ks_against,
+                        "distance": ensembles.ks_distance(spectrum, model)}
     _emit(json.dumps(report) + "\n", args.out)
     return 0
 
@@ -158,29 +151,32 @@ def _parse_sim_string(text, measure_spec):
             raise ParseError(f"unknown simulation key {key!r}", text,
                              text.find(tok))
         fields[key] = val.strip()
-    n = int(fields["N"])
-    samples = int(fields["samples"])
-    seed = int(fields["seed"])
+    try:
+        n, samples, seed = (int(fields[key]) for key in ("N", "samples", "seed"))
+        k = int(fields["k"] or 0)
+        shapes = tuple(Fraction(t) for t in str(fields["c"] or "1").split(":"))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad simulation settings {text!r}: N, samples, seed and k "
+                          "take integers, c rationals such as 1:1/2") from None
     if fields["k"] is None and fields["c"] is None:
         return ensembles.config_for_measure(measure_spec, n=n,
                                             samples=samples, seed=seed)
-    shapes = tuple(Fraction(t) for t in str(fields["c"] or "1").split(":"))
     return ensembles.EnsembleConfig(
         n=n,
         ginibre_shape_ratios=shapes,
-        unitary_sum_k=int(fields["k"] or 0),
+        unitary_sum_k=k,
         samples=samples,
         seed=seed,
     )
 
 
 def cmd_compare(args):
-    _, measure_spec = grammar.parse_target(args.measure)
-    cfg = _parse_sim_string(args.simulate, measure_spec)
+    fam, spec = grammar.parse_target(args.measure)
+    cfg = _parse_sim_string(args.simulate, spec)
     spectrum = ensembles.simulate(cfg)
-    ks = ensembles.ks_distance(spectrum, _model_cdf_for(args.measure))
-    _, spec = grammar.parse_target(args.measure)
-    exact = moments.moments_from_resolvent(_poly_for(spec), 3)
+    poly = measures.build_resolvent(spec)
+    ks = ensembles.ks_distance(spectrum, _model_cdf(fam, poly))
+    exact = moments.moments_from_resolvent(poly, 3)
     vals = spectrum.values
     n = len(vals)
     moment_rows = []
@@ -223,7 +219,7 @@ def cmd_ring(args):
 
 def cmd_potential(args):
     _, spec = grammar.parse_target(args.measure)
-    poly = _poly_for(spec)
+    poly = measures.build_resolvent(spec)
     lo, hi = resolvent.support_edges(poly)
     if args.x is not None:
         xs = [args.x]

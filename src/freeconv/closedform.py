@@ -17,9 +17,11 @@ Families and supports:
     bures     arcsine x mp(1) on [0, 3 sqrt(3)]
     bures2    arcsine x mp(1)^2 on [0, 8]
 
-Densities with a power divergence x^(-alpha) at the lower edge carry
-their exponent in ``edge_powers`` so quadrature can substitute
-x = lo + t^p with p >= 1/(1 - alpha), which removes the singularity.
+A ``Family`` is a ``resolvent.DensitySource``: for a divergence
+d^(-alpha) at distance d from an edge, ``edge_powers`` holds a power
+p >= 1/(1 - alpha) (2 at a vanishing edge) for the substitution
+x = edge +- t^p, and its ``edge_floors`` are zero, the formulas being
+exact up to the edges.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from fractions import Fraction
 
 from .errors import DomainError, QuadratureError
 from . import measures
-from .moments import _substituted_quad
+from .resolvent import integral, tabulated_cdf
 
-__all__ = ["Family", "family", "all_families", "density", "support", "cdf",
-           "cdf_interpolator"]
+__all__ = ["Family", "family", "all_families", "cdf", "cdf_interpolator",
+           "mass_and_mean"]
 
 _PI = math.pi
 
@@ -48,6 +50,7 @@ class Family:
     measure: object  # equivalent MeasureSpec, for cross-module checks
     edge_powers: tuple
     _density: object = field(repr=False, compare=False, default=None)
+    edge_floors = (0.0, 0.0)
 
     def density(self, x):
         x = float(x)
@@ -55,19 +58,6 @@ class Family:
         if x <= lo or x >= hi:
             return 0.0
         return self._density(x)
-
-    def __call__(self, x):
-        return self.density(x)
-
-
-def density(fam, x):
-    """Density of ``fam`` at real x; exactly 0 outside the closed support."""
-    return fam.density(x)
-
-
-def support(fam):
-    """((x_lo, x_hi), atom weight at zero)."""
-    return fam.support, fam.atom
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +218,15 @@ def all_families():
 
 
 # ---------------------------------------------------------------------------
-# cumulative distribution
+# cumulative distribution and moments
 # ---------------------------------------------------------------------------
+
+def _within_bound(result):
+    val, err = result
+    if err > 1e-9:
+        raise QuadratureError(f"quadrature error estimate {err:.2e} exceeds 1e-9")
+    return val
+
 
 def cdf(fam, x):
     """CDF of the family at x, atom at zero included.
@@ -237,8 +234,6 @@ def cdf(fam, x):
     Adaptive quadrature of the density with edge substitution; the
     output is clamped monotone into [atom, 1].
     """
-    from scipy import integrate
-
     lo, hi = fam.support
     x = float(x)
     if x < 0.0:
@@ -247,83 +242,17 @@ def cdf(fam, x):
         return fam.atom
     if x >= hi:
         return 1.0
-    p_lo, p_hi = fam.edge_powers
-    mid = 0.5 * (lo + hi)
-    total = fam.atom
-    a = min(x, mid)
-
-    def lower(t):
-        return fam._density(lo + t ** p_lo) * p_lo * t ** (p_lo - 1.0)
-
-    val, err = integrate.quad(lower, 0.0, (a - lo) ** (1.0 / p_lo),
-                              limit=200, epsabs=1e-10, epsrel=1e-10)
-    total += val
-    errs = err
-    if x > mid:
-        def upper(t):
-            return fam._density(hi - t ** p_hi) * p_hi * t ** (p_hi - 1.0)
-
-        val, err = integrate.quad(upper, (hi - x) ** (1.0 / p_hi),
-                                  (hi - mid) ** (1.0 / p_hi),
-                                  limit=200, epsabs=1e-10, epsrel=1e-10)
-        total += val
-        errs += err
-    if errs > 1e-9:
-        raise QuadratureError(f"cdf quadrature error estimate {errs:.2e} exceeds 1e-9")
+    total = fam.atom + _within_bound(integral(fam, 0, x))
     return min(max(total, fam.atom), 1.0)
 
 
-def cdf_interpolator(fam, n_grid=4096):
-    """Fast vectorised CDF built on edge-substituted cumulative grids.
-
-    Suitable for Kolmogorov-Smirnov scans over many sample points; the
-    grid trapezoid error is far below the statistical resolution of any
-    finite-sample comparison.
-    """
-    import numpy as np
-
-    lo, hi = fam.support
-    p_lo, p_hi = fam.edge_powers
-    mid = 0.5 * (lo + hi)
-    half = n_grid // 2
-
-    t = np.linspace(0.0, (mid - lo) ** (1.0 / p_lo), half)
-    g_lo = np.empty(half)
-    g_lo[1:] = [fam._density(lo + ti ** p_lo) * p_lo * ti ** (p_lo - 1.0)
-                for ti in t[1:]]
-    # never evaluate the formula at the edge itself; when the substitution
-    # exactly matches the divergence exponent the integrand has a finite
-    # t -> 0 limit, approximated by the first interior node
-    g_lo[0] = g_lo[1]
-    cum_lo = np.concatenate([[0.0], np.cumsum(0.5 * (g_lo[1:] + g_lo[:-1]) * np.diff(t))])
-    xs_lo = lo + t ** p_lo
-
-    u = np.linspace((hi - mid) ** (1.0 / p_hi), 0.0, half)
-    g_hi = np.array([fam._density(hi - ui ** p_hi) * p_hi * ui ** (p_hi - 1.0)
-                     if ui > 0 else 0.0 for ui in u])
-    cum_hi = np.concatenate([[0.0], np.cumsum(0.5 * (g_hi[1:] + g_hi[:-1]) * -np.diff(u))])
-    xs_hi = hi - u ** p_hi
-
-    xs = np.concatenate([xs_lo, xs_hi[1:]])
-    cum = np.concatenate([cum_lo, cum_lo[-1] + cum_hi[1:]])
-    total = cum[-1]
-    scale = (1.0 - fam.atom) / total if total > 0 else 1.0
-    cum = cum * scale
-    atom = fam.atom
-
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, cum, left=0.0, right=1.0 - atom)
-        out = np.where(x >= 0.0, out + atom, 0.0)
-        return out if out.ndim else float(out)
-
-    return F
+def cdf_interpolator(fam):
+    """Fast vectorised CDF, the ``resolvent.tabulated_cdf`` of ``fam``,
+    for Kolmogorov-Smirnov scans over many sample points."""
+    return tabulated_cdf(fam)
 
 
 def mass_and_mean(fam):
-    """(continuous mass, first moment) by substituted quadrature."""
-    lo, hi = fam.support
-    p_lo, p_hi = fam.edge_powers
-    m0 = _substituted_quad(fam._density, lo, hi, p_lo, p_hi)
-    m1 = _substituted_quad(lambda x: x * fam._density(x), lo, hi, p_lo, p_hi)
-    return m0, m1
+    """(continuous mass, first moment) by substituted quadrature, each
+    to an error estimate of at most 1e-9."""
+    return tuple(_within_bound(integral(fam, k)) for k in (0, 1))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, QuadratureError, SeriesAmbiguity
+from .errors import DomainError, SeriesAmbiguity
 from .measures import _nth_root_fraction, _rational_coerce
 
 __all__ = [
@@ -370,57 +370,10 @@ def boxtimes_moments(ma, mb, K):
 def moments_from_density(curve, K):
     """Quadrature moments m_0..m_K of a density curve, as floats.
 
-    Uses the curve's attached pointwise evaluator when available
-    (adaptive quadrature with edge substitution); otherwise falls back
-    to the trapezoid rule on the stored grid.  The atom at zero
-    contributes to m_0 only.
+    Each moment is ``resolvent.curve_integral`` of the curve's density
+    source; the atom at zero contributes to m_0 only.
     """
-    import numpy as np
-
-    atom = curve.atom_at_zero
-    evaluator = getattr(curve, "_evaluator", None)
-    out = []
-    if evaluator is None:
-        xs = np.asarray([p[0] for p in curve.points])
-        rho = np.asarray([p[1] for p in curve.points])
-        for k in range(K + 1):
-            val = float(np.trapezoid(rho * xs ** k, xs))
-            out.append(val + (atom if k == 0 else 0.0))
-        return out
-
     from .resolvent import curve_integral
 
-    for k in range(K + 1):
-        out.append(curve_integral(curve, k) + (atom if k == 0 else 0.0))
-    return out
-
-
-def _substituted_quad(f, lo, hi, p_lo=2.0, p_hi=2.0, epsabs=1e-10, epsrel=1e-10,
-                      err_cap=1e-6):
-    """Integrate f over [lo, hi] with power substitutions at both ends.
-
-    x = lo + t**p_lo maps the lower edge and x = hi - t**p_hi the upper
-    one, so integrable power-law endpoint behaviour becomes smooth in t
-    and no integrand evaluation lands exactly on an endpoint.
-    """
-    from scipy import integrate
-
-    mid = 0.5 * (lo + hi)
-
-    def lower(t):
-        return f(lo + t ** p_lo) * p_lo * t ** (p_lo - 1.0)
-
-    def upper(t):
-        return f(hi - t ** p_hi) * p_hi * t ** (p_hi - 1.0)
-
-    total = 0.0
-    err = 0.0
-    for g, top in ((lower, (mid - lo) ** (1.0 / p_lo)),
-                   (upper, (hi - mid) ** (1.0 / p_hi))):
-        val, abserr = integrate.quad(g, 0.0, top, limit=200,
-                                     epsabs=epsabs, epsrel=epsrel)
-        total += val
-        err += abserr
-    if err > err_cap:
-        raise QuadratureError(f"quadrature error estimate {err:.2e} too large")
-    return total
+    return [curve_integral(curve, k) + (curve.atom_at_zero if k == 0 else 0.0)
+            for k in range(K + 1)]

@@ -11,7 +11,10 @@ performs the Stieltjes inversion
 with a two-epsilon Richardson extrapolation.  Support edges are located
 by a scan of the physical branch followed by exact-rational bisection
 on the number of real roots of P(., x) (Sturm chains), which changes
-where the physical root pair collides on the axis.
+where the physical root pair collides on the axis.  Every mass, moment
+and CDF of a density, continued or closed-form, comes from one
+quadrature (``integral``) and one CDF table (``tabulated_cdf``) over a
+``DensitySource``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import cmath
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "green",
     "density",
     "density_curve",
+    "density_source",
     "support_edges",
     "potential_derivative",
     "DensityCurve",
@@ -617,36 +621,162 @@ def _density_inner(poly, x, eps_pair=DEFAULT_EPS_PAIR):
     return rho
 
 
+# ---------------------------------------------------------------------------
+# density sources: the one quadrature and the one CDF table
+# ---------------------------------------------------------------------------
+
+# nodes of a tabulated CDF, half of them in each edge's variable t
+_CDF_NODES = 1024
+
+
 @dataclass(frozen=True, eq=False)
-class DensityCurve:
-    """Sampled spectral density with support and atom metadata.
+class DensitySource:
+    """A density as ``integral`` and ``tabulated_cdf`` read it;
+    ``closedform.Family`` has the same attributes.
+
+    ``density(x)`` is the continuous density on the open ``support``
+    (lo, hi), ``atom`` the weight of a point mass at zero.  With
+    ``edge_powers`` (p_lo, p_hi), x = lo + t^p_lo and x = hi - t^p_hi
+    turn an edge behaviour d^(-alpha) in the distance d to the edge
+    into a bounded integrand in t once p >= 1/(1 - alpha).  Strips of
+    widths ``edge_floors`` at the edges are closed by a power-law fit.
+    """
+
+    support: tuple
+    atom: float
+    density: object
+    edge_powers: tuple
+    edge_floors: tuple
+
+
+def _edge_fit(rho, edge, f, direction):
+    """(rho at distance f, alpha) of the power law rho ~ C d^(-alpha)
+    through d = f and d = 2f from ``edge`` on the side ``direction``
+    (alpha < 0 at a vanishing edge), or None where rho is too small."""
+    r1 = rho(edge + direction * f)
+    r2 = rho(edge + direction * 2.0 * f)
+    if r1 <= 1e-12 or r2 <= 1e-12:
+        return None
+    return r1, min(max(math.log2(r1 / r2), -6.0), 0.97)
+
+
+def _edge_head(rho, edge, f, direction, k):
+    """Integral of x^k rho over the strip of width ``f`` at ``edge``
+    under the power law of ``_edge_fit``."""
+    fit = _edge_fit(rho, edge, f, direction)
+    if fit is None:
+        return 0.0
+    r1, alpha = fit
+    if edge == 0.0 and direction > 0:
+        # x = d exactly: integral of C d^(k - alpha) on [0, f]
+        if k + 1 - alpha <= 0:
+            return 0.0
+        return r1 * f ** alpha * f ** (k + 1 - alpha) / (k + 1 - alpha)
+    weight = (edge + direction * 0.5 * f) ** k if k else 1.0
+    return weight * r1 * f ** alpha * f ** (1 - alpha) / (1 - alpha)
+
+
+def integral(source, k=0, x=None):
+    """(Integral of x^k rho over the continuous part up to ``x``, error
+    estimate), by adaptive quadrature in each edge's variable t from the
+    floor to the middle of the support, and the power-law head on each
+    floor strip; ``x`` defaults to the upper edge.  Each caller holds
+    the error estimate to its own bound.
+    """
+    from scipy import integrate
+
+    rho = source.density
+    lo, hi = source.support
+    mid = 0.5 * (lo + hi)
+    top = hi if x is None else x
+
+    def weighted(v):
+        return rho(v) * v ** k if k else rho(v)
+
+    total = err = 0.0
+    with warnings.catch_warnings():
+        # roundoff chatter is expected at 1e-10 targets; the estimate is
+        # checked by the caller either way
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for edge, p, f, s in zip(source.support, source.edge_powers, source.edge_floors,
+                                 (1.0, -1.0)):
+            # the distances from this edge that lie below ``top``
+            near, far = (f, min(top, mid) - lo) if s > 0 else (max(hi - top, f), hi - mid)
+            if near >= far:
+                continue
+            if f > 0.0 and near == f:  # the floor strip lies below ``top``
+                total += _edge_head(rho, edge, f, s, k)
+            val, e = integrate.quad(
+                lambda t: weighted(edge + s * t ** p) * p * t ** (p - 1.0),
+                near ** (1.0 / p), far ** (1.0 / p),
+                limit=200, epsabs=1e-10, epsrel=1e-10)
+            total += val
+            err += e
+    return total, err
+
+
+def tabulated_cdf(source):
+    """Vectorised CDF of a density source, atom at zero included.
+
+    The cumulative trapezoid rule runs on equally spaced nodes of each
+    edge's variable t, from the floor to the middle of the support.  At
+    either edge the first cell is the floor strip under the power-law
+    head or, with no floor, the cell from t = 0, whose integrand there
+    is taken from the next node: no density is evaluated on an edge.
+    The table is scaled to the continuous mass 1 - atom.
+    """
+    mid = 0.5 * sum(source.support)
+    tables = []
+    for edge, p, f, s in zip(source.support, source.edge_powers, source.edge_floors,
+                             (1.0, -1.0)):
+        t = np.linspace(f ** (1.0 / p), abs(mid - edge) ** (1.0 / p), _CDF_NODES // 2)
+        g = np.array([source.density(edge + s * ti ** p) * p * ti ** (p - 1.0)
+                      if ti > 0.0 else 0.0 for ti in t.tolist()])
+        if t[0] == 0.0:
+            g[0] = g[1]
+        head = _edge_head(source.density, edge, f, s, 0) if f > 0.0 else 0.0
+        cum = head + np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        tables.append((np.concatenate([[edge], edge + s * t ** p]),
+                       np.concatenate([[0.0], cum])))
+    (x_lo, c_lo), (x_hi, c_hi) = tables
+    # the upper table runs from hi down to the middle, which both share
+    xs = np.concatenate([x_lo, x_hi[-2::-1]])
+    cum = np.concatenate([c_lo, c_lo[-1] + c_hi[-1] - c_hi[-2::-1]])
+    atom = source.atom
+    target = 1.0 - atom
+    if cum[-1] > 0:
+        cum *= target / cum[-1]
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.interp(x, xs, cum, left=0.0, right=target)
+        out = np.where(x >= 0.0, out + atom, 0.0)
+        return out if out.ndim else float(out)
+
+    return cdf
+
+
+@dataclass(frozen=True, eq=False)
+class DensityCurve(DensitySource):
+    """A density source with its density sampled inside the support.
 
     ``points`` is a tuple of (x, rho) pairs on a grid clustered toward
     the support edges; ``atom_at_zero`` is the weight of a point mass
     at the origin detected as missing continuous mass.
     """
 
-    support: tuple
     points: tuple
-    edge_margin: float
-    atom_at_zero: float = 0.0
-    _evaluator: object = field(default=None, repr=False, compare=False)
-    _edge_powers: tuple = field(default=(2.0, 2.0), repr=False, compare=False)
-    _edge_floors: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
+
+    @property
+    def atom_at_zero(self):
+        return self.atom
 
     def xs(self):
         return np.array([p[0] for p in self.points])
 
-    def rhos(self):
-        return np.array([p[1] for p in self.points])
-
     def mass(self):
         """Atom weight plus quadrature of the continuous part."""
-        if self._evaluator is not None:
-            cont = curve_integral(self, 0)
-        else:
-            cont = float(np.trapezoid(self.rhos(), self.xs()))
-        return self.atom_at_zero + cont
+        return self.atom + curve_integral(self, 0)
 
     def to_csv(self):
         lines = ["x,rho"]
@@ -683,122 +813,66 @@ def _edge_floors(poly, width):
     return lo_frac * width, 1e-9 * width
 
 
-def _edge_head(rho, edge, f, direction, k):
-    """Closed-form integral of x^k rho over the strip of width ``f`` at
-    ``edge``, from a two-point power-law fit rho ~ C d^(-alpha) in the
-    distance d to the edge (alpha < 0 covers vanishing edges)."""
-    r1 = rho(edge + direction * f)
-    r2 = rho(edge + direction * 2.0 * f)
-    if r1 <= 1e-12 or r2 <= 1e-12:
-        return 0.0
-    alpha = min(max(math.log2(r1 / r2), -6.0), 0.97)
-    if edge == 0.0 and direction > 0:
-        # x = d exactly: integral of C d^(k - alpha) on [0, f]
-        if k + 1 - alpha <= 0:
-            return 0.0
-        return r1 * f ** alpha * f ** (k + 1 - alpha) / (k + 1 - alpha)
-    weight = (edge + direction * 0.5 * f) ** k if k else 1.0
-    return weight * r1 * f ** alpha * f ** (1 - alpha) / (1 - alpha)
+def density_source(poly, eps_pair=DEFAULT_EPS_PAIR):
+    """The continued density of ``poly`` as a density source.
 
-
-def curve_integral(curve, k=0):
-    """Integral of x^k rho(x) over the continuous part of a curve.
-
-    The strips within ``_edge_floors`` of the two edges are integrated
-    from a local power-law fit (the finite-epsilon inversion cannot
-    resolve the limit there, and the root clusters of cleared
-    polynomials become ill conditioned); the interior is integrated
-    with the power substitutions in ``_edge_powers``, which remove the
-    integrable edge behaviour from the quadrature variable.
-    """
-    from scipy import integrate
-
-    rho = curve._evaluator
-    lo, hi = curve.support
-    mid = 0.5 * (lo + hi)
-    p_lo, p_hi = curve._edge_powers
-    f_lo, f_hi = curve._edge_floors
-
-    def weighted(x):
-        return rho(x) * x ** k if k else rho(x)
-
-    total = 0.0
-    if f_lo > 0.0:
-        total += _edge_head(rho, lo, f_lo, +1, k)
-    if f_hi > 0.0:
-        total += _edge_head(rho, hi, f_hi, -1, k)
-
-    err = 0.0
-    with warnings.catch_warnings():
-        # roundoff chatter is expected at 1e-10 targets; the estimate is
-        # checked against the cap below either way
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, e = integrate.quad(
-            lambda t: weighted(lo + t ** p_lo) * p_lo * t ** (p_lo - 1.0),
-            f_lo ** (1.0 / p_lo), (mid - lo) ** (1.0 / p_lo),
-            limit=200, epsabs=1e-10, epsrel=1e-10)
-        total += val
-        err += e
-        val, e = integrate.quad(
-            lambda t: weighted(hi - t ** p_hi) * p_hi * t ** (p_hi - 1.0),
-            f_hi ** (1.0 / p_hi), (hi - mid) ** (1.0 / p_hi),
-            limit=200, epsabs=1e-10, epsrel=1e-10)
-        total += val
-        err += e
-    if err > 1e-5:
-        raise QuadratureError(f"curve quadrature error estimate {err:.2e} too large")
-    return total
-
-
-def density_curve(poly, n_points=512, edge_margin=0.01, eps_pair=DEFAULT_EPS_PAIR):
-    """Sample the density on a cosine-clustered grid inside the support.
-
-    The grid covers [lo + m*W, hi - m*W] with Chebyshev-style point
-    clustering toward both edges.  The continuous mass is integrated
-    with edge substitution x = lo + t^2 (and hi - t^2), closing the
-    last strip at each edge with a fitted power-law head rather than
-    evaluating at the endpoints; missing mass beyond the detection
-    threshold is reported as an atom at zero.
+    Support from ``support_edges``, floors from ``_edge_floors``.  Each
+    edge power is 1/(1 - alpha) for the exponent alpha that ``_edge_fit``
+    measures at the floor, rounded and clipped to [2, 4] (2 where
+    nothing can be fitted).  The inversion tightens epsilon with the
+    distance to the nearer edge.  Continuous mass missing from one
+    beyond the 5e-3 detection threshold is the atom at zero.
     """
     lo, hi = support_edges(poly, eps_pair=eps_pair)
-    width = hi - lo
-    a = lo + edge_margin * width
-    b = hi - edge_margin * width
-    theta = (np.arange(n_points) + 0.5) * math.pi / n_points
-    grid = a + (b - a) * 0.5 * (1.0 - np.cos(theta))
     ev = _evaluator(poly, eps_pair)
 
-    def point_density(x):
+    def rho(x):
         x = float(x)
         d = min(x - lo, hi - x)
         if d <= 0.0:
             return 0.0
-        rho = -ev.extrapolated_green(x, d).imag / math.pi
-        return rho if rho > 0.0 else 0.0
+        r = -ev.extrapolated_green(x, d).imag / math.pi
+        return r if r > 0.0 else 0.0
 
-    pts = tuple((float(x), point_density(x)) for x in grid)
-    probe = DensityCurve(
-        support=(lo, hi),
-        points=pts,
-        edge_margin=edge_margin,
-        atom_at_zero=0.0,
-        _evaluator=point_density,
-        _edge_powers=(2.0, 2.0),
-        _edge_floors=_edge_floors(poly, width),
-    )
-    atom = 1.0 - curve_integral(probe, 0)
+    floors = _edge_floors(poly, hi - lo)
+    powers = []
+    for edge, f, s in zip((lo, hi), floors, (1.0, -1.0)):
+        fit = _edge_fit(rho, edge, f, s)
+        powers.append(2.0 if fit is None else float(min(max(round(1.0 / (1.0 - fit[1])), 2), 4)))
+    source = DensitySource((lo, hi), 0.0, rho, tuple(powers), floors)
+    atom = 1.0 - curve_integral(source, 0)
     atom = 0.0 if atom < 5e-3 else min(atom, 1.0 - 1e-12)
-    if atom == 0.0:
-        return probe
-    return DensityCurve(
-        support=(lo, hi),
-        points=pts,
-        edge_margin=edge_margin,
-        atom_at_zero=atom,
-        _evaluator=point_density,
-        _edge_powers=(2.0, 2.0),
-        _edge_floors=probe._edge_floors,
-    )
+    return replace(source, atom=atom)
+
+
+def curve_integral(curve, k=0):
+    """Integral of x^k rho(x) over the continuous part of a density curve
+    or any density source, by ``integral``; QuadratureError when the
+    error estimate exceeds 1e-5."""
+    val, err = integral(curve, k)
+    if err > 1e-5:
+        raise QuadratureError(f"curve quadrature error estimate {err:.2e} too large")
+    return val
+
+
+def _sampled(source, n_points, edge_margin):
+    """``source`` with its density sampled on Chebyshev-style nodes of
+    [lo + m W, hi - m W], for the margin m and the support width W."""
+    lo, hi = source.support
+    a = lo + edge_margin * (hi - lo)
+    b = hi - edge_margin * (hi - lo)
+    theta = (np.arange(n_points) + 0.5) * math.pi / n_points
+    grid = a + (b - a) * 0.5 * (1.0 - np.cos(theta))
+    points = tuple((float(x), float(source.density(float(x)))) for x in grid)
+    return DensityCurve(source.support, source.atom, source.density, source.edge_powers,
+                        source.edge_floors, points)
+
+
+def density_curve(poly, n_points=512, edge_margin=0.01, eps_pair=DEFAULT_EPS_PAIR):
+    """The ``density_source`` of ``poly``, sampled on a grid clustered
+    toward the edges that leaves ``edge_margin`` of the support width
+    free at each edge."""
+    return _sampled(density_source(poly, eps_pair), n_points, edge_margin)
 
 
 def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
@@ -807,20 +881,16 @@ def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
     measures with a closed form) on the same cosine-clustered grid used
     by ``density_curve``."""
     lo, hi = support
-    width = hi - lo
-    a = lo + edge_margin * width
-    b = hi - edge_margin * width
-    theta = (np.arange(n_points) + 0.5) * math.pi / n_points
-    grid = a + (b - a) * 0.5 * (1.0 - np.cos(theta))
-    pts = tuple((float(x), float(density_fn(float(x)))) for x in grid)
-    return DensityCurve(
-        support=(float(lo), float(hi)),
-        points=pts,
-        edge_margin=edge_margin,
-        atom_at_zero=float(atom),
-        _evaluator=density_fn,
-        _edge_powers=tuple(edge_powers),
-    )
+    source = DensitySource((float(lo), float(hi)), float(atom), density_fn,
+                           tuple(edge_powers), (0.0, 0.0))
+    return _sampled(source, n_points, edge_margin)
+
+
+def cdf_interpolator(poly):
+    """A vectorised CDF callable of the continued density of ``poly``,
+    atom at zero included: the ``tabulated_cdf`` of its
+    ``density_source``."""
+    return tabulated_cdf(density_source(poly))
 
 
 def potential_derivative(poly, x, eps_pair=DEFAULT_EPS_PAIR):
@@ -834,52 +904,3 @@ def potential_derivative(poly, x, eps_pair=DEFAULT_EPS_PAIR):
         raise DomainError(f"x={x} is outside the open support ({lo}, {hi})")
     ev = _evaluator(poly, eps_pair)
     return 2.0 * ev.extrapolated_green(x).real
-
-
-# ---------------------------------------------------------------------------
-# model CDF from a continued density (for measures without a closed form)
-# ---------------------------------------------------------------------------
-
-def cdf_interpolator(poly, n_grid=1024, eps_pair=DEFAULT_EPS_PAIR):
-    """A vectorised CDF callable built by integrating the continued density.
-
-    The cumulative integral is accumulated on power-substituted grids
-    near both edges (quartic spacing handles x^(-3/4)-type divergence);
-    the first cell is closed with a local power-law fit so no
-    evaluation lands on the edge itself.  Includes the atom at zero.
-    """
-    curve = density_curve(poly, n_points=8, eps_pair=eps_pair)
-    lo, hi = curve.support
-    atom = curve.atom_at_zero
-    rho = curve._evaluator
-    mid = 0.5 * (lo + hi)
-    f_lo, f_hi = curve._edge_floors
-    t_lo = np.linspace(f_lo ** 0.25, (mid - lo) ** 0.25, n_grid // 2)
-    xs_lo = lo + t_lo ** 4
-    t_hi = np.linspace(f_hi ** 0.25, (hi - mid) ** 0.25, n_grid // 2)[::-1]
-    xs_hi = hi - t_hi ** 4
-    xs = np.concatenate([xs_lo, xs_hi])
-    vals = np.array([rho(float(x)) for x in xs])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(xs))])
-    # close the first cell with a power-law fit rho ~ C (x-lo)^(-alpha)
-    x1, x2 = xs[0] - lo, xs[1] - lo
-    r1, r2 = vals[0], vals[1]
-    if r1 > 0 and r2 > 0 and x2 > x1:
-        alpha = -math.log(r2 / r1) / math.log(x2 / x1)
-        alpha = min(max(alpha, -2.0), 0.97)
-        head = r1 * x1 / (1.0 - alpha)
-    else:
-        head = 0.0
-    cum = cum + head
-    total = cum[-1]
-    target = 1.0 - atom
-    if total > 0:
-        cum *= target / total
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, xs, cum, left=0.0, right=target)
-        out = np.where(x >= 0.0, out + atom, 0.0)
-        return out if out.ndim else float(out)
-
-    return cdf

@@ -56,12 +56,13 @@ class TestSupports:
             "bures2": (0.0, 8.0),
         }
         for name, (lo, hi) in expected.items():
-            (got_lo, got_hi), atom = C.support(C.family(name))
+            fam = C.family(name)
+            (got_lo, got_hi), atom = fam.support, fam.atom
             assert got_lo == lo and abs(got_hi - hi) < 1e-14
             assert atom == 0.0
 
     def test_mp_quarter(self):
-        (lo, hi), _ = C.support(C.family("mp(1/4)"))
+        lo, hi = C.family("mp(1/4)").support
         assert abs(lo - 0.25) < 1e-14 and abs(hi - 2.25) < 1e-14
 
     def test_supports_match_resolvent(self):
@@ -90,8 +91,7 @@ class TestCdf:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_interpolator_agrees_with_quadrature(self):
-        for name in ("mp(1)", "fc3", "bures2"):
-            fam = C.family(name)
+        for fam in C.all_families():
             fast = C.cdf_interpolator(fam)
             for q in (0.2, 0.5, 0.8):
                 x = fam.support[0] + q * (fam.support[1] - fam.support[0])

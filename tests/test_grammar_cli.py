@@ -131,6 +131,18 @@ class TestCli:
             assert code == 1 and out == ""
             assert err == "error: seed must be non-negative\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--measure", "mp(1)", "--simulate", "N=abc,samples=1"],
+        ["compare", "--measure", "mp(1)", "--simulate", "N=8,samples=1,k=x"],
+        ["compare", "--measure", "mp(1)", "--simulate", "N=8,samples=1,c=1/0"],
+        ["simulate", "--n", "8", "--shapes", "abc"],
+        ["simulate", "--n", "8", "--shapes", "1/0"],
+    ])
+    def test_malformed_simulation_number_is_a_typed_error(self, argv, capsys):
+        code, out, err = self.run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err and "Traceback" not in err
+
     def test_simulate_json(self, capsys):
         code, out, _ = self.run(
             ["simulate", "--n", "24", "--samples", "2", "--seed", "3",

@@ -212,6 +212,13 @@ class TestCdfInterpolator:
         fam = C.family("mp(1)")
         for x in (0.5, 1.0, 2.0, 3.5):
             assert abs(cdf(x) - C.cdf(fam, x)) < 2e-4
+        # divergent hard edges at zero: x^(-2/3) and x^(-3/4)
+        for spec, name in ((M.mp(1) ** 2, "fc2"), (M.arcsine() * M.mp(1) ** 2, "bures2")):
+            cdf = R.cdf_interpolator(M.build_resolvent(spec))
+            fam = C.family(name)
+            for q in (0.05, 0.2, 0.5, 0.8):
+                x = q * fam.support[1]
+                assert abs(cdf(x) - C.cdf(fam, x)) < 2e-4, (name, q)
 
     def test_includes_atom(self):
         poly = M.build_resolvent(M.boxtimes(M.arcsine(), M.mp(2)))
