@@ -313,6 +313,10 @@ def main(argv=None):
     except FreeconvError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except (OverflowError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        # float range or a singular system: a numerical failure, not a bug
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

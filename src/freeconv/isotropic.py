@@ -46,7 +46,7 @@ def _s_real(spec, w):
 
 def _assert_monotone(spec, n_grid=64):
     """Pre-scan: S must be decreasing in w on (-1, 0) for the radial
-    solve to bracket; cached per spec via simple memo on the object."""
+    solve to bracket.  Returns (S(-1+), S(0-)) on the scan."""
     ws = np.linspace(-1.0 + 1e-9, -1e-9, n_grid)
     try:
         vals = [_s_real(spec, w) for w in ws]
@@ -67,7 +67,12 @@ def radial_cdf(spec, r, tol=1e-13, max_iter=200):
     """
     if r <= 0:
         return 0.0
-    s_at_m1, s_at_0 = _assert_monotone(spec)
+    return _solve_radial(spec, r, _assert_monotone(spec), tol, max_iter)
+
+
+def _solve_radial(spec, r, s_range, tol=1e-13, max_iter=200):
+    """F(r) at r > 0 by bisection, given the (S(-1+), S(0-)) of the pre-scan."""
+    s_at_m1, s_at_0 = s_range
     target = 1.0 / (r * r)
     if target <= s_at_0:  # r beyond the outer radius
         return 1.0
@@ -99,7 +104,8 @@ def radial_profile(spec, n_points=200):
     """F(r) on a grid covering the ring (plus a small overhang)."""
     r_in, r_out = ring_radii(spec)
     rs = np.linspace(max(r_in * 0.5, 1e-6), r_out * 1.05, n_points)
-    fs = [radial_cdf(spec, float(r)) for r in rs]
+    s_range = _assert_monotone(spec)  # one pre-scan for the whole grid
+    fs = [_solve_radial(spec, float(r), s_range) for r in rs]
     return RadialProfile(
         radii=tuple(float(r) for r in rs),
         values=tuple(fs),

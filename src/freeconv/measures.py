@@ -19,7 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -361,25 +364,27 @@ class ResolventPolynomial:
             return self.coeffs[i][j]
         return Fraction(0)
 
+    @cached_property
+    def float_coeffs(self):
+        """The coefficients as a float array, rows in w and columns in z,
+        converted once on first numeric use: a rational beyond float
+        range fails where it is evaluated, not where it is built."""
+        return np.array([[float(c) for c in row] for row in self.coeffs])
+
     def wcoeffs_at(self, z):
         """Coefficients of the univariate polynomial in w at fixed z,
-        ascending, as complex floats."""
-        z = complex(z)
-        zp = [1.0 + 0j]
-        for _ in range(self.z_degree):
-            zp.append(zp[-1] * z)
-        return [sum(float(cj) * zp[j] for j, cj in enumerate(row) if cj)
-                for row in self.coeffs]
+        ascending, as a complex array (not finite where they overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.float_coeffs @ np.power(complex(z), np.arange(self.z_degree + 1))
 
     def coefficient_scale_at(self, z):
-        z = abs(complex(z))
-        zp = max(1.0, z) ** self.z_degree
-        return max(max(abs(float(cj)) for cj in row) for row in self.coeffs) * zp
+        zp = max(1.0, abs(complex(z))) ** self.z_degree
+        return float(np.abs(self.float_coeffs).max()) * zp
 
     def __call__(self, w, z):
         w = complex(w)
         out = 0j
-        for c in reversed(self.wcoeffs_at(z)):
+        for c in reversed(self.wcoeffs_at(z).tolist()):
             out = out * w + c
         return out
 

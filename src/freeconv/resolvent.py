@@ -1,10 +1,10 @@
 """Numerical solution of resolvent polynomials.
 
 Given the cleared polynomial P(w, z) = 0 from ``build_resolvent``, this
-module finds all roots in w at fixed z (simultaneous Aberth-Ehrlich
-iteration), follows the physical branch from the w ~ m1/z asymptote at
-large |z| down to the real axis by tangent-predictor continuation, and
-performs the Stieltjes inversion
+module finds all roots in w at fixed z (companion-matrix eigenvalues,
+each polished by one Newton step), follows the physical branch from the
+w ~ m1/z asymptote at large |z| down to the real axis by
+tangent-predictor continuation, and performs the Stieltjes inversion
 
     rho(x) = -(1/pi) * lim_{eps->0} Im G(x + i eps),    G = (1 + w)/z
 
@@ -19,7 +19,6 @@ quadrature (``integral``) and one CDF table (``tabulated_cdf``) over a
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 import warnings
@@ -59,10 +58,13 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EPS_PAIR = (1e-6, 1e-7)
 SEED_HEIGHT = 1e6
+# abscissae of the support scan, relative width of a bisected edge bracket
+_SCAN_POINTS = 512
+_EDGE_RTOL = Fraction(1e-10)
 
 
 # ---------------------------------------------------------------------------
-# simultaneous root finding
+# root finding
 # ---------------------------------------------------------------------------
 
 def _horner_pair(coeffs, x):
@@ -75,117 +77,51 @@ def _horner_pair(coeffs, x):
     return p, dp
 
 
-def _aberth(coeffs, warm=None, tol=1e-14, max_iter=500):
-    """All roots of an ascending-coefficient complex polynomial.
-
-    Simultaneous Aberth-Ehrlich iteration on the monic-scaled
-    polynomial.  Initial points sit on a perturbed circle whose radius
-    is the Fujiwara root bound, unless ``warm`` supplies starting
-    values (one per root) from a nearby polynomial.
-    """
-    n = len(coeffs) - 1
-    if n < 1:
-        return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    if n == 1:
-        return [-monic[0]]
-
-    if warm is not None and len(warm) == n:
-        w = list(warm)
-        # collapse-proof: split exact duplicates
-        for i in range(n):
-            for j in range(i):
-                if w[i] == w[j]:
-                    w[i] += (1e-8 + 1e-8j) * (1.0 + abs(w[i]))
-    else:
-        radius = 2.0 * max(abs(monic[n - k]) ** (1.0 / k) for k in range(1, n + 1))
-        radius = max(radius, 1e-12)
-        w = [radius * cmath.exp(2j * math.pi * (k + 0.37) / n + 0.41j)
-             for k in range(n)]
-
-    # backward-stable stop: Horner cannot evaluate p below roundoff times the
-    # term-magnitude sum, so roots with residual under that floor are done
-    eps_floor = 4.0 * (n + 1) * 2.220446049250313e-16
-
-    def _noise_scale(x):
-        ax = abs(x)
-        s = 0.0
-        xp = 1.0
-        for c in monic:
-            s += abs(c) * xp
-            xp *= ax
-        return s
-
-    for _ in range(max_iter):
-        shift = 0.0
-        for i in range(n):
-            p, dp = _horner_pair(monic, w[i])
-            if p == 0 or abs(p) <= eps_floor * _noise_scale(w[i]):
-                continue
-            acc = 0j
-            for j in range(n):
-                if j != i:
-                    d = w[i] - w[j]
-                    if d == 0:
-                        d = 1e-14 * (1.0 + abs(w[i]))
-                    acc += 1.0 / d
-            if dp == 0:
-                w[i] += 1e-7 * (1.0 + abs(w[i]))
-                shift = math.inf
-                continue
-            newton = p / dp
-            denom = 1.0 - newton * acc
-            delta = newton if denom == 0 else newton / denom
-            w[i] -= delta
-            rel = abs(delta) / (1.0 + abs(w[i]))
-            if rel > shift:
-                shift = rel
-        if shift <= tol:
-            break
-    else:
-        raise NoConvergence(f"root iteration hit the {max_iter}-iteration cap")
-
-    # final Newton polish (skipped for roots already at the noise floor)
-    for i in range(n):
-        for _ in range(2):
-            p, dp = _horner_pair(monic, w[i])
-            if dp != 0 and abs(p) > eps_floor * _noise_scale(w[i]):
-                step = p / dp
-                if abs(step) < 1e-2 * (1.0 + abs(w[i])):
-                    w[i] -= step
-    # cluster near-coincident roots (multiple roots converge to a fuzzy ball)
-    for i in range(n):
-        for j in range(i):
-            if abs(w[i] - w[j]) <= 1e-10 * (1.0 + abs(w[i])):
-                mean = 0.5 * (w[i] + w[j])
-                w[i] = w[j] = mean
-    return w
-
-
-def roots_at(poly, z, initial=None, return_info=False):
+def roots_at(poly, z, return_info=False):
     """All complex roots of P(., z), with residuals below
     1e-12 times the coefficient magnitude scale.
 
-    If the leading w-coefficients vanish at this z the polynomial
-    degree drops; the remaining lower-degree root set is returned and
-    the number of dropped roots is reported through ``return_info``.
-    DegreeDropError is raised only if every coefficient vanishes.
+    The roots are the eigenvalues of the companion matrix (LAPACK,
+    balanced), each polished by one Newton step.  If the leading
+    w-coefficients vanish at this z the polynomial degree drops; the
+    remaining lower-degree root set is returned and the number of
+    dropped roots is reported through ``return_info``.
+    DegreeDropError is raised only if every coefficient vanishes,
+    NoConvergence when the coefficients at z are not finite or a
+    residual is too large.
     """
     coeffs = poly.wcoeffs_at(z)
-    scale = max(abs(c) for c in coeffs)
+    if not np.isfinite(coeffs).all():
+        raise NoConvergence(f"coefficients are not finite at z={z}")
+    mags = np.abs(coeffs)
+    scale = mags.max()
     if scale == 0.0:
         raise DegreeDropError(f"all coefficients vanish at z={z}")
-    dropped = 0
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-13 * scale:
-        coeffs.pop()
-        dropped += 1
-    roots = _aberth(coeffs, warm=initial if initial and len(initial) == len(coeffs) - 1 else None)
-    for w in roots:
-        wpow = max(1.0, abs(w)) ** (len(coeffs) - 1)
-        res = abs(_horner_pair(coeffs, w)[0])
-        if res > 1e-12 * scale * wpow:
-            raise NoConvergence(f"root residual {res:.2e} exceeds tolerance at z={z}")
+    n = len(coeffs) - 1
+    while n > 0 and mags[n] <= 1e-13 * scale:
+        n -= 1
+    dropped = len(coeffs) - 1 - n
+    coeffs = coeffs[:n + 1]
+    companion = np.zeros((n, n), dtype=complex)
+    companion[:1] = -coeffs[-2::-1] / coeffs[-1]  # the first row, if any
+    companion.flat[n::n + 1] = 1.0  # the subdiagonal
+    try:
+        eig = np.linalg.eigvals(companion).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues failed at z={z}: {exc}") from exc
+    clist = coeffs.tolist()
+    roots = []
+    for w in eig:
+        p, dp = _horner_pair(clist, w)
+        if dp != 0:
+            # one Newton step, kept where it lowers the residual
+            w1 = w - p / dp
+            p1 = _horner_pair(clist, w1)[0]
+            if abs(p1) <= abs(p):
+                w, p = w1, p1
+        if abs(p) > 1e-12 * scale * max(1.0, abs(w)) ** n:
+            raise NoConvergence(f"root residual {abs(p):.2e} exceeds tolerance at z={z}")
+        roots.append(w)
     if return_info:
         return roots, {"degree_dropped": dropped}
     return roots
@@ -211,7 +147,7 @@ class BranchTracker:
     Single-owner mutable state: use one tracker per thread.
     """
 
-    def __init__(self, poly, seed=None, m1=None, record_path=False):
+    def __init__(self, poly, seed=None, m1=None):
         self.poly = poly
         if m1 is None:
             if poly.source is not None:
@@ -231,7 +167,6 @@ class BranchTracker:
                 f"no root near the asymptotic seed m1/z at z={z0}")
         self.z = z0
         self.w = w0
-        self.path = [(z0, w0)] if record_path else None
 
     # -- internals ---------------------------------------------------------
 
@@ -255,24 +190,16 @@ class BranchTracker:
     def _slope(self, w, z):
         """dw/dz = -P_z / P_w by implicit differentiation (None at a
         branch point, where P_w vanishes)."""
-        poly = self.poly
-        wcoeffs = poly.wcoeffs_at(z)
-        pw = 0j
-        for k in range(len(wcoeffs) - 1, 0, -1):
-            pw = pw * w + k * wcoeffs[k]
-        zp = [1.0 + 0j]
-        for _ in range(poly.z_degree):
-            zp.append(zp[-1] * z)
-        pz = 0j
-        for i in range(poly.w_degree, -1, -1):
-            ci = sum(float(cj) * j * zp[j - 1]
-                     for j, cj in enumerate(poly.coeffs[i]) if j and cj)
-            pz = pz * w + ci
+        coeffs = self.poly.float_coeffs
+        j = np.arange(coeffs.shape[1])
+        zp = np.power(z, j)
+        pw = _horner_pair((coeffs @ zp).tolist(), w)[1]
+        pz = _horner_pair((coeffs[:, 1:] @ (j[1:] * zp[:-1])).tolist(), w)[0]
         if pw == 0:
             return None
         return -pz / pw
 
-    def move_to(self, z_target, floor_factor=1e-13):
+    def move_to(self, z_target):
         """Continue the physical branch to ``z_target`` and return w there.
 
         Tangent-predictor stepping in absolute z increments: each step
@@ -292,13 +219,12 @@ class BranchTracker:
         if z_target == z_cur:
             return self.w
         w = self.w
-        roots = None
         slope = self._slope(w, z_cur)
         h = abs(z_target - z_cur)
         while z_cur != z_target:
             remaining = z_target - z_cur
             dist = abs(remaining)
-            floor = floor_factor * abs(z_cur)
+            floor = 1e-13 * abs(z_cur)
             # geometric prior: sheet structure evolves on the scale of |z|
             h = min(h, max(0.5 * abs(z_cur), floor))
             if h >= dist:
@@ -308,14 +234,12 @@ class BranchTracker:
                 dz = remaining * (h / dist)
                 z_new = z_cur + dz
             w_pred = w + slope * dz if slope is not None else w
-            ok = True
             try:
-                roots = roots_at(self.poly, z_new,
-                                 initial=roots if roots is not None else None)
+                roots = roots_at(self.poly, z_new)
             except (NoConvergence, DegreeDropError):
-                ok = False
-                roots = None
-            if ok and roots:
+                roots = []
+            ok = bool(roots)
+            if ok:
                 by_dist = sorted(roots, key=lambda r: abs(r - w_pred))
                 cand = by_dist[0]
                 d1 = abs(cand - w_pred)
@@ -329,15 +253,11 @@ class BranchTracker:
                     ok = False
                 elif not self._physical_ok(cand, z_new):
                     ok = False
-            elif ok:
-                ok = False
             if ok:
                 w = cand
                 z_cur = z_new
                 h *= 2.0
                 slope = self._slope(w, z_new)
-                if self.path is not None:
-                    self.path.append((z_new, w))
             else:
                 h = 0.5 * min(h, dist)
                 if h < floor:
@@ -366,18 +286,17 @@ def green(tracker, z):
 class _BranchEvaluator:
     """Trackers pinned to lines Im z = eps for a small set of eps levels.
 
-    Walking horizontally between density queries reuses the previous
-    root configuration, which makes dense grids and adaptive quadrature
-    over the same polynomial cheap.  Near a support edge the default
+    Walking horizontally between density queries continues from the
+    previous point on the branch, which makes dense grids and adaptive
+    quadrature over the same polynomial cheap.  Near a support edge the default
     epsilon pair cannot resolve the limit (the Richardson residual
     grows like (eps/d)^2 at distance d), so when the caller passes the
     edge distance the pair is tightened to eps <= d/1000, quantized to
     powers of ten to keep the tracker count bounded.
     """
 
-    def __init__(self, poly, eps_pair=DEFAULT_EPS_PAIR):
+    def __init__(self, poly):
         self.poly = poly
-        self.eps_pair = eps_pair
         self._trackers = {}
 
     def _tracker_at(self, eps, x):
@@ -394,9 +313,9 @@ class _BranchEvaluator:
 
     def _pair_for(self, edge_distance):
         if edge_distance is None:
-            return self.eps_pair
+            return DEFAULT_EPS_PAIR
         e1 = 10.0 ** min(math.floor(math.log10(max(edge_distance, 1e-13))) - 3,
-                         round(math.log10(self.eps_pair[0])))
+                         round(math.log10(DEFAULT_EPS_PAIR[0])))
         return (e1, 0.1 * e1)
 
     def green_pair(self, x, edge_distance=None):
@@ -414,12 +333,11 @@ class _BranchEvaluator:
         return g2 + (g2 - g1) * (e2 / (e1 - e2))
 
 
-def _evaluator(poly, eps_pair=DEFAULT_EPS_PAIR):
-    key = ("evaluator", eps_pair)
-    ev = poly._cache.get(key)
+def _evaluator(poly):
+    ev = poly._cache.get("evaluator")
     if ev is None:
-        ev = _BranchEvaluator(poly, eps_pair)
-        poly._cache[key] = ev
+        ev = _BranchEvaluator(poly)
+        poly._cache["evaluator"] = ev
     return ev
 
 
@@ -518,7 +436,7 @@ def _real_root_count_exact(poly, x):
     return variations(sign_neg) - variations(sign_pos)
 
 
-def support_edges(poly, scan_points=512, eps_pair=DEFAULT_EPS_PAIR, rel_tol=1e-10):
+def support_edges(poly):
     """Locate the single continuous support interval [x_lo, x_hi].
 
     A scan of the extrapolated physical branch along the real axis
@@ -537,9 +455,9 @@ def support_edges(poly, scan_points=512, eps_pair=DEFAULT_EPS_PAIR, rel_tol=1e-1
     if cached is not None:
         return cached
     hi_bound = _upper_bound_for_scan(poly)
-    ev = _evaluator(poly, eps_pair)
-    xs = np.linspace(hi_bound / scan_points * 0.5, hi_bound, scan_points)
-    imw = np.empty(scan_points)
+    ev = _evaluator(poly)
+    xs = np.linspace(hi_bound / _SCAN_POINTS * 0.5, hi_bound, _SCAN_POINTS)
+    imw = np.empty(_SCAN_POINTS)
     for k, x in enumerate(xs):
         g = ev.extrapolated_green(x)
         imw[k] = abs(x * g.imag)
@@ -561,16 +479,16 @@ def support_edges(poly, scan_points=512, eps_pair=DEFAULT_EPS_PAIR, rel_tol=1e-1
         up_idx = flips[0] if len(flips) else None
     else:
         lo_idx = flips[0]
-        lo = _refine_edge(poly, xs[lo_idx], xs[lo_idx + 1], rel_tol)
+        lo = _refine_edge(poly, xs[lo_idx], xs[lo_idx + 1])
         up_idx = flips[1] if len(flips) > 1 else None
     if up_idx is None:
         raise MultiIntervalError("support does not close below the scan ceiling")
-    hi = _refine_edge(poly, xs[up_idx], xs[up_idx + 1], rel_tol)
+    hi = _refine_edge(poly, xs[up_idx], xs[up_idx + 1])
     poly._cache["support"] = (lo, hi)
     return lo, hi
 
 
-def _refine_edge(poly, x_a, x_b, rel_tol):
+def _refine_edge(poly, x_a, x_b):
     a, b = Fraction(float(x_a)), Fraction(float(x_b))
     ca = _real_root_count_exact(poly, a)
     cb = _real_root_count_exact(poly, b)
@@ -579,7 +497,7 @@ def _refine_edge(poly, x_a, x_b, rel_tol):
         # this path stays unused for the supported families
         log.warning("real-root count did not change on [%s, %s]", x_a, x_b)
         return 0.5 * (float(x_a) + float(x_b))
-    tol = Fraction(rel_tol) * max(1, b)
+    tol = _EDGE_RTOL * max(1, b)
     while b - a > tol:
         mid = (a + b) / 2
         if _real_root_count_exact(poly, mid) == ca:
@@ -593,7 +511,7 @@ def _refine_edge(poly, x_a, x_b, rel_tol):
 # densities
 # ---------------------------------------------------------------------------
 
-def density(poly, x, eps_pair=DEFAULT_EPS_PAIR, edge_margin=0.01):
+def density(poly, x, edge_margin=0.01):
     """Spectral density at real x by Stieltjes inversion.
 
     Evaluates Im G at x + i*eps for the two epsilon levels and
@@ -601,18 +519,18 @@ def density(poly, x, eps_pair=DEFAULT_EPS_PAIR, edge_margin=0.01):
     Emits EdgeWarning when x falls within ``edge_margin`` of a support
     edge (fraction of the support width); the value is still returned.
     """
-    lo, hi = support_edges(poly, eps_pair=eps_pair)
+    lo, hi = support_edges(poly)
     if x <= lo or x >= hi:
         return 0.0
     width = hi - lo
     if x < lo + edge_margin * width or x > hi - edge_margin * width:
         warnings.warn(f"density at x={x} is within the {edge_margin:.0%} edge margin",
                       EdgeWarning, stacklevel=2)
-    return _density_inner(poly, x, eps_pair)
+    return _density_inner(poly, x)
 
 
-def _density_inner(poly, x, eps_pair=DEFAULT_EPS_PAIR):
-    ev = _evaluator(poly, eps_pair)
+def _density_inner(poly, x):
+    ev = _evaluator(poly)
     rho = -ev.extrapolated_green(x).imag / math.pi
     if rho < 0.0:
         if rho < -1e-12:
@@ -813,7 +731,7 @@ def _edge_floors(poly, width):
     return lo_frac * width, 1e-9 * width
 
 
-def density_source(poly, eps_pair=DEFAULT_EPS_PAIR):
+def density_source(poly):
     """The continued density of ``poly`` as a density source.
 
     Support from ``support_edges``, floors from ``_edge_floors``.  Each
@@ -823,8 +741,8 @@ def density_source(poly, eps_pair=DEFAULT_EPS_PAIR):
     distance to the nearer edge.  Continuous mass missing from one
     beyond the 5e-3 detection threshold is the atom at zero.
     """
-    lo, hi = support_edges(poly, eps_pair=eps_pair)
-    ev = _evaluator(poly, eps_pair)
+    lo, hi = support_edges(poly)
+    ev = _evaluator(poly)
 
     def rho(x):
         x = float(x)
@@ -868,11 +786,11 @@ def _sampled(source, n_points, edge_margin):
                         source.edge_floors, points)
 
 
-def density_curve(poly, n_points=512, edge_margin=0.01, eps_pair=DEFAULT_EPS_PAIR):
+def density_curve(poly, n_points=512, edge_margin=0.01):
     """The ``density_source`` of ``poly``, sampled on a grid clustered
     toward the edges that leaves ``edge_margin`` of the support width
     free at each edge."""
-    return _sampled(density_source(poly, eps_pair), n_points, edge_margin)
+    return _sampled(density_source(poly), n_points, edge_margin)
 
 
 def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
@@ -893,14 +811,14 @@ def cdf_interpolator(poly):
     return tabulated_cdf(density_source(poly))
 
 
-def potential_derivative(poly, x, eps_pair=DEFAULT_EPS_PAIR):
+def potential_derivative(poly, x):
     """V'(x) = 2 Re G(x + i0+) for x strictly inside the support.
 
     By conjugate symmetry of the physical branch across the cut this
     equals the limit of G(x + i eps) + G(x - i eps).
     """
-    lo, hi = support_edges(poly, eps_pair=eps_pair)
+    lo, hi = support_edges(poly)
     if not (lo < x < hi):
         raise DomainError(f"x={x} is outside the open support ({lo}, {hi})")
-    ev = _evaluator(poly, eps_pair)
+    ev = _evaluator(poly)
     return 2.0 * ev.extrapolated_green(x).real

@@ -143,6 +143,16 @@ class TestCli:
         assert code == 1 and out == ""
         assert err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"],
+        ["density", "--measure", f"mp(1)*rat({10 ** 320 + 1};1)"],
+        ["potential", "--measure", f"mp(1)*rat(1;{10 ** 320 + 1})"],
+    ])
+    def test_float_overflow_is_a_one_line_error(self, argv, capsys):
+        code, out, err = self.run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
     def test_simulate_json(self, capsys):
         code, out, _ = self.run(
             ["simulate", "--n", "24", "--samples", "2", "--seed", "3",

@@ -33,6 +33,16 @@ class TestRadialCdf:
             assert prof.values[-1] == 1.0
 
 
+    def test_profile_scans_once(self, monkeypatch):
+        spec = M.boxtimes(M.arcsine(), M.mp(1))
+        calls = []
+        scan = I._assert_monotone
+        monkeypatch.setattr(I, "_assert_monotone", lambda s: calls.append(s) or scan(s))
+        prof = I.radial_profile(spec, n_points=16)
+        assert len(calls) == 1
+        assert prof.values == tuple(I.radial_cdf(spec, r) for r in prof.radii)
+
+
 class TestRingRadii:
     def test_ginibre_disc(self):
         assert I.ring_radii(M.mp(1)) == (0.0, 1.0)

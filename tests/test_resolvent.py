@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from freeconv import closedform as C
+from freeconv import grammar
 from freeconv import measures as M
 from freeconv import resolvent as R
-from freeconv.errors import DomainError, EdgeWarning, FreeconvError
+from freeconv.errors import DomainError, EdgeWarning, FreeconvError, NoConvergence
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,23 @@ class TestRootsAt:
                 partner = min(roots, key=lambda s: abs(s - r.conjugate()))
                 assert abs(partner - r.conjugate()) < 1e-10 * (1 + abs(r))
 
+    @pytest.mark.parametrize("z", [1e200j, complex("nan"), complex(2.0, math.nan)])
+    def test_non_finite_coefficients_are_not_converged(self, z):
+        # z^3 overflows at 1e200j; a NaN residual would pass a "<=" check
+        poly = M.build_resolvent(M.free_power(M.mp(1), F(1, 3)))
+        with pytest.raises(NoConvergence):
+            R.roots_at(poly, z)
+        with pytest.raises(NoConvergence):
+            R.BranchTracker(poly, seed=1e200j)
+
+    def test_eigensolver_failure_is_not_converged(self, fc3_poly, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NoConvergence):
+            R.roots_at(fc3_poly, 2.0)
+
 
 class TestBranchTracking:
     def test_asymptotic_seed(self, mp_poly):
@@ -94,6 +112,15 @@ class TestBranchTracking:
         g = R.green(tracker, 1.0 + 1e-9j)
         assert abs(g.imag + 1.0) < 1e-7  # Im G = -pi * AS(1) = -1
 
+    def test_descent_far_below_a_soft_edge(self):
+        # the lower edge of mp(3/5)*mp(3/4) sits near 0.0056; at x ~ 1e-9
+        # the Herglotz test accepts the physical root only when roots are
+        # accurate to the residual floor, not to eigensolver accuracy
+        poly = M.build_resolvent(M.boxtimes(M.mp(F(3, 5)), M.mp(F(3, 4))))
+        for x in (5.25e-11, 1e-9):
+            g = R._evaluator(poly).extrapolated_green(x, x)
+            assert abs(g.imag) < 1e-8
+
     def test_path_independence(self, fc3_poly):
         # vertical descent vs L-shaped route reach the same branch
         x = 2.0
@@ -118,6 +145,21 @@ class TestDensity:
     def test_edge_warning(self, mp_poly):
         with pytest.warns(EdgeWarning):
             R.density(mp_poly, 3.999)
+
+    @pytest.mark.parametrize("expr", ["mp(1)^2", "as*mp(1)^2", "mp(1)^(1/3)",
+                                      "mp(1/4)*mp(1)"])
+    def test_independent_of_call_history(self, expr):
+        # a polynomial that has swept 40 other points returns the same
+        # bits as a fresh one, whose only state is the support it is given
+        spec = grammar.parse_measure(expr)
+        swept = M.build_resolvent(spec)
+        lo, hi = R.support_edges(swept)
+        for x in lo + (hi - lo) * np.linspace(0.06, 0.94, 40):
+            R.density(swept, float(x))
+        for x in lo + (hi - lo) * np.linspace(0.05, 0.95, 40):
+            fresh = M.build_resolvent(spec)
+            fresh._cache["support"] = (lo, hi)
+            assert R.density(fresh, float(x)) == R.density(swept, float(x))
 
     def test_fc3_matches_closed_form(self, fc3_poly):
         fam = C.family("fc3")
