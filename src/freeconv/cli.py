@@ -108,6 +108,8 @@ def _config_echo(cfg):
 
 def cmd_simulate(args):
     cfg = _config_from_args(args)
+    if args.histogram < 0:
+        raise DomainError(f"--histogram takes a positive bin count, not {args.histogram}")
     spectrum = ensembles.simulate(cfg)
     if args.histogram:
         counts, edges = np.histogram(spectrum.values, bins=args.histogram,

@@ -158,7 +158,7 @@ def _mp_family(c):
     return Family(
         name=f"mp({c})",
         support=(lo, hi),
-        atom=0.0,
+        atom=float(max(0, 1 - 1 / c)),  # the formula carries mass min(1, 1/c)
         measure=measures.mp(c),
         edge_powers=(p_lo, 2.0),
         _density=rho,

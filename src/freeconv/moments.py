@@ -202,6 +202,16 @@ def _det_fraction(rows):
 # formal solution of resolvent polynomials
 # ---------------------------------------------------------------------------
 
+def resolvent_columns(poly):
+    """(a0, aq) with P(w, z) = a0(w) + z^q aq(w), q = ``poly.z_degree``, as
+    ascending Fraction lists; SeriesAmbiguity for any other power of z."""
+    q = poly.z_degree
+    rows = range(poly.w_degree + 1)
+    if any(poly.coeff(i, j) for i in rows for j in range(1, q)):
+        raise SeriesAmbiguity("resolvent polynomial mixes z powers other than 0 and q")
+    return [poly.coeff(i, 0) for i in rows], [poly.coeff(i, q) for i in rows]
+
+
 def moments_from_resolvent(poly, K):
     """First K+1 exact moments of the measure behind a resolvent polynomial.
 
@@ -218,11 +228,7 @@ def moments_from_resolvent(poly, K):
     if K == 0:
         return MomentSequence((Fraction(1),))
     q = poly.z_degree
-    a0 = [poly.coeff(i, 0) for i in range(poly.w_degree + 1)]
-    aq = [poly.coeff(i, q) for i in range(poly.w_degree + 1)]
-    for j in range(1, q):
-        if any(poly.coeff(i, j) for i in range(poly.w_degree + 1)):
-            raise SeriesAmbiguity("resolvent polynomial mixes z powers other than 0 and q")
+    a0, aq = resolvent_columns(poly)
     if any(aq[:q]):
         raise SeriesAmbiguity("z^q column is not divisible by w^q")
     b = aq[q:]  # A_q(w) = w^q B(w)

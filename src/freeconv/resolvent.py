@@ -8,10 +8,9 @@ tangent-predictor continuation, and performs the Stieltjes inversion
 
     rho(x) = -(1/pi) * lim_{eps->0} Im G(x + i eps),    G = (1 + w)/z
 
-with a two-epsilon Richardson extrapolation.  Support edges are located
-by a scan of the physical branch followed by exact-rational bisection
-on the number of real roots of P(., x) (Sturm chains), which changes
-where the physical root pair collides on the axis.  Every mass, moment
+with a two-epsilon Richardson extrapolation.  Support edges are the
+critical values of the explicit inverse x^q = h(w) of P(w, x) = 0,
+with every root identified in exact arithmetic.  Every mass, moment
 and CDF of a density, continued or closed-form, comes from one
 quadrature (``integral``) and one CDF table (``tabulated_cdf``) over a
 ``DensitySource``.
@@ -23,7 +22,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,10 +33,9 @@ from .errors import (
     MultiIntervalError,
     NoConvergence,
     QuadratureError,
-    SeriesAmbiguity,
 )
 from .measures import s_eval
-from .moments import moments_from_resolvent
+from .moments import resolvent_columns
 
 __all__ = [
     "roots_at",
@@ -58,9 +55,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EPS_PAIR = (1e-6, 1e-7)
 SEED_HEIGHT = 1e6
-# abscissae of the support scan, relative width of a bisected edge bracket
-_SCAN_POINTS = 512
-_EDGE_RTOL = Fraction(1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +312,11 @@ class _BranchEvaluator:
                          round(math.log10(DEFAULT_EPS_PAIR[0])))
         return (e1, 0.1 * e1)
 
-    def green_pair(self, x, edge_distance=None):
-        out = []
-        for eps in self._pair_for(edge_distance):
-            tr = self._tracker_at(eps, x)
-            w = tr.move_to(complex(x, eps))
-            out.append((1.0 + w) / complex(x, eps))
-        return out
-
     def extrapolated_green(self, x, edge_distance=None):
         """Richardson extrapolation of G(x + i eps) linearly in eps."""
-        e1, e2 = self._pair_for(edge_distance)
-        g1, g2 = self.green_pair(x, edge_distance)
+        e1, e2 = eps = self._pair_for(edge_distance)
+        g1, g2 = ((1.0 + self._tracker_at(e, x).move_to(complex(x, e))) / complex(x, e)
+                  for e in eps)
         return g2 + (g2 - g1) * (e2 / (e1 - e2))
 
 
@@ -345,166 +332,112 @@ def _evaluator(poly):
 # support edges
 # ---------------------------------------------------------------------------
 
-def _upper_bound_for_scan(poly):
-    """Rough upper bound for the support from the 12th moment.
-
-    For a single-interval measure m_12^(1/12) underestimates the upper
-    edge by at most a modest subexponential factor, so twice that value
-    is a safe scan ceiling.
-    """
-    try:
-        m12 = moments_from_resolvent(poly, 12)[12]
-        return max(1.0, 2.0 * float(m12) ** (1.0 / 12.0))
-    except SeriesAmbiguity:
-        return 64.0
+# Exact polynomials are ascending Fraction arrays (dtype object), on which
+# the numpy polynomial routines compute exactly; numpy.polynomial is
+# imported on first use only.
+def _polygcd(a, b):
+    """Monic greatest common divisor of two exact polynomials."""
+    while any(b):
+        a, b = b, np.polynomial.polynomial.polydiv(a, b)[1]
+    return a / a[-1]
 
 
-def _wcoeffs_exact(poly, x):
-    """Exact Fraction coefficients of P(., x) at rational x, trimmed."""
-    x = Fraction(x)
-    coeffs = []
-    for i in range(poly.w_degree + 1):
-        c = Fraction(0)
-        xp = Fraction(1)
-        for j in range(poly.z_degree + 1):
-            cij = poly.coeff(i, j)
-            if cij:
-                c += cij * xp
-            xp *= x
-        coeffs.append(c)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _squarefree(p):
+    """Yun's square-free factorisation: [(f, k)] with p = lead * prod f^k,
+    each f monic, square-free, of positive degree, coprime to the rest."""
+    _P = np.polynomial.polynomial
+    dp = _P.polyder(p)
+    a = _polygcd(p, dp)
+    b, d = _P.polydiv(p, a)[0], _P.polydiv(dp, a)[0]
+    out, k = [], 1
+    while len(b) > 1:
+        d = _P.polysub(d, _P.polyder(b))
+        a = _polygcd(b, d)
+        if len(a) > 1:
+            out.append((a, k))
+        b, d = _P.polydiv(b, a)[0], _P.polydiv(d, a)[0]
+        k += 1
+    return out
 
 
-def _polyrem(a, b):
-    """Remainder of exact polynomial division (ascending Fractions)."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        if a[-1] != 0:
-            factor = a[-1] / lead
-            shift = len(a) - 1 - db
-            for k in range(db + 1):
-                a[shift + k] -= factor * b[k]
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _real_root_count_exact(poly, x):
-    """Number of distinct real w-roots of P(., x) at exact rational x.
-
-    Sturm-chain sign-variation count between -inf and +inf, in exact
-    arithmetic.  At a support edge the physical conjugate pair merges
-    onto the real axis, so this count changes by at least two; unlike a
-    discriminant sign it also detects edges where several pairs collide
-    at once (even-order discriminant zeros).
-    """
-    p = _wcoeffs_exact(poly, x)
-    if len(p) - 1 < 1:
-        return 0
-    chain = [p, [i * p[i] for i in range(1, len(p))]]
-    while len(chain[-1]) > 1:
-        rem = _polyrem(chain[-2], chain[-1])
-        if not any(rem):
-            break
-        chain.append([-c for c in rem])
-    if not any(chain[-1]):
-        chain.pop()
-
-    def variations(signs):
-        prev = 0
-        count = 0
-        for s in signs:
-            if s == 0:
-                continue
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-        return count
-
-    sign_neg = []
-    sign_pos = []
-    for q in chain:
-        lead = q[-1]
-        s = 1 if lead > 0 else -1 if lead < 0 else 0
-        deg = len(q) - 1
-        sign_pos.append(s)
-        sign_neg.append(s if deg % 2 == 0 else -s)
-    return variations(sign_neg) - variations(sign_pos)
+def _real_roots(f):
+    """The real roots of a square-free exact polynomial, as floats; the
+    root w = -1 that every a0 carries is recognised exactly."""
+    roots = np.polynomial.polynomial.polyroots(f.astype(float)).tolist()
+    real = [r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r))]
+    if np.polynomial.polynomial.polyval(-1, f) == 0:
+        real = [-1.0 if abs(r + 1.0) <= 1e-6 else r for r in real]
+    return real
 
 
 def support_edges(poly):
-    """Locate the single continuous support interval [x_lo, x_hi].
+    """The single continuous support interval [x_lo, x_hi], read off the
+    critical values of the explicit inverse.
 
-    A scan of the extrapolated physical branch along the real axis
-    brackets the points where |Im w| switches on; each bracket is then
-    refined by bisecting on the exact-rational count of real roots of
-    P(., x), which changes exactly where the physical pair collides on
-    the axis (robust even when several pairs collide at once and the
-    discriminant zero has even order).  A hard edge at zero (indicator
-    already on at the smallest scan abscissa) is reported as exactly 0;
-    edges closer to zero than the scan resolution are indistinguishable
-    from a hard edge.
+    ``build_resolvent`` makes P(w, z) = a0(w) + z^q aq(w), so off the
+    support the physical branch solves x^q = h(w) = -a0(w)/aq(w), and
+    there w(x) = x G(x) - 1 is real and strictly monotone: it rises
+    from 0 as x falls from +inf to the upper edge, and falls from
+    w0 = mu({0}) - 1 as x rises from 0 through a gap below the support.
+    Each edge is therefore h^(1/q) at a critical point of h:
 
-    Raises MultiIntervalError if the indicator switches more than twice.
+    * upper: the smallest positive critical point, else w -> +inf;
+    * lower: 0 unless w0, the largest zero of a0 in [-1, 0), has
+      multiplicity exactly q (w is then analytic at x = 0, so there is
+      a gap); then the nearest critical point below w0, else w -> -inf.
+
+    Identity and multiplicity of every root are decided in exact
+    arithmetic, after dividing out gcd(a0, aq); only the values of
+    simple roots are floats.  Any other critical value inside (lo, hi)
+    is a possible interior edge: MultiIntervalError when the physical
+    branch reaches that critical point there.  DomainError when the
+    support is unbounded or has no interior.
     """
     cached = poly._cache.get("support")
     if cached is not None:
         return cached
-    hi_bound = _upper_bound_for_scan(poly)
-    ev = _evaluator(poly)
-    xs = np.linspace(hi_bound / _SCAN_POINTS * 0.5, hi_bound, _SCAN_POINTS)
-    imw = np.empty(_SCAN_POINTS)
-    for k, x in enumerate(xs):
-        g = ev.extrapolated_green(x)
-        imw[k] = abs(x * g.imag)
-    vmax = imw.max()
-    # a normalized measure with a single-interval continuous part has
-    # max |Im w| = pi max(x rho) of order one; epsilon residue from pure
-    # atoms sits many orders below
-    if vmax <= 1e-6:
-        raise DomainError("no continuous spectrum found on the scan range")
-    inside = imw > max(1e-9, 1e-5 * vmax)
-    flips = np.flatnonzero(np.diff(inside.astype(int)))
-    if inside.sum() == 0:
-        raise DomainError("no continuous spectrum found on the scan range")
-    if len(flips) > 2:
-        raise MultiIntervalError(
-            f"support indicator switched {len(flips)} times; expected a single interval")
-    if inside[0]:
-        lo = 0.0
-        up_idx = flips[0] if len(flips) else None
-    else:
-        lo_idx = flips[0]
-        lo = _refine_edge(poly, xs[lo_idx], xs[lo_idx + 1])
-        up_idx = flips[1] if len(flips) > 1 else None
-    if up_idx is None:
-        raise MultiIntervalError("support does not close below the scan ceiling")
-    hi = _refine_edge(poly, xs[up_idx], xs[up_idx + 1])
+    q, _P = poly.z_degree, np.polynomial.polynomial
+    a0, aq = np.polynomial.polyutils.as_series(resolvent_columns(poly))
+    common = _polygcd(a0, aq)
+    a0, aq = _P.polydiv(a0, common)[0], _P.polydiv(aq, common)[0]
+    fa0, faq = a0.astype(float), aq.astype(float)
+
+    def x_at(h):
+        return h ** (1.0 / q) if h >= 0.0 else math.nan
+
+    def x_crit(w):
+        return x_at(-_P.polyval(w, fa0) / _P.polyval(w, faq))
+
+    def x_limit(sign):  # x(w) as w -> sign * inf
+        d = len(a0) - len(aq)
+        lead = -float(a0[-1] / aq[-1]) * sign ** d
+        return x_at(lead if d == 0 else 0.0 if d < 0 else math.copysign(math.inf, lead))
+
+    dh = _P.polysub(_P.polymul(_P.polyder(a0), aq), _P.polymul(a0, _P.polyder(aq)))
+    # the poles of h (multiple roots of aq) are no critical points
+    crit = sorted(w for f, _ in _squarefree(dh)
+                  for w in _real_roots(_P.polydiv(f, _polygcd(f, aq))[0]))
+    zeros = [(w, k) for f, k in _squarefree(a0) for w in _real_roots(f) if -1.0 <= w < 0.0]
+    if not zeros:
+        raise DomainError("P(., 0) has no zero in [-1, 0), where w(0-) = mu({0}) - 1 lies")
+    w0, mult = max(zeros)
+    above = [w for w in crit if w > 0.0]
+    below = [w for w in crit if w < w0] if mult == q else []
+    hi = x_crit(above[0]) if above else x_limit(1)
+    lo = 0.0 if mult != q else x_crit(below[-1]) if below else x_limit(-1)
+    if not lo < hi < math.inf:
+        raise DomainError(f"no bounded continuous spectrum: the edges are {lo} and {hi}")
+    for wc in crit:
+        xc = x_crit(wc)
+        if wc in above[:1] + below[-1:] or not lo < xc < hi:
+            continue
+        w = xc * _evaluator(poly).extrapolated_green(xc) - 1.0
+        if abs(w - wc) <= 1e-2 * max(1.0, abs(wc)):
+            raise MultiIntervalError(
+                f"the physical branch reaches the critical point w={wc:.6g} at "
+                f"x={xc:.6g}, inside ({lo:.6g}, {hi:.6g}): not a single interval")
     poly._cache["support"] = (lo, hi)
     return lo, hi
-
-
-def _refine_edge(poly, x_a, x_b):
-    a, b = Fraction(float(x_a)), Fraction(float(x_b))
-    ca = _real_root_count_exact(poly, a)
-    cb = _real_root_count_exact(poly, b)
-    if ca == cb:
-        # bracket does not isolate a root-count change; tests guard that
-        # this path stays unused for the supported families
-        log.warning("real-root count did not change on [%s, %s]", x_a, x_b)
-        return 0.5 * (float(x_a) + float(x_b))
-    tol = _EDGE_RTOL * max(1, b)
-    while b - a > tol:
-        mid = (a + b) / 2
-        if _real_root_count_exact(poly, mid) == ca:
-            a = mid
-        else:
-            b = mid
-    return float((a + b) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +657,7 @@ def _edge_floors(poly, width):
     whose conditioning in double precision collapses quickly for large
     q.  Near the upper edge only the pair collision matters, and a tiny
     floor also keeps adaptive quadrature away from the sub-resolution
-    cliff left by the finite accuracy of a bisected edge location.
+    cliff left by the rounding of the critical value that locates it.
     """
     q = poly.clearing_power
     lo_frac = 1e-4 if q >= 3 else (1e-7 if q == 2 else 1e-11)
@@ -775,7 +708,10 @@ def curve_integral(curve, k=0):
 
 def _sampled(source, n_points, edge_margin):
     """``source`` with its density sampled on Chebyshev-style nodes of
-    [lo + m W, hi - m W], for the margin m and the support width W."""
+    [lo + m W, hi - m W], for the margin m in [0, 1/2) and the support
+    width W."""
+    if not 0.0 <= edge_margin < 0.5:
+        raise DomainError(f"edge margin {edge_margin} is outside [0, 1/2)")
     lo, hi = source.support
     a = lo + edge_margin * (hi - lo)
     b = hi - edge_margin * (hi - lo)

@@ -105,6 +105,17 @@ class TestMassAndMean:
             assert abs(m0 - 1.0) < 1e-6, fam.name
             assert abs(m1 - 1.0) < 1e-6, fam.name
 
+    def test_mp_above_one_carries_its_atom(self):
+        # the formula carries mass 1/c; the rest, 1 - 1/c, sits at zero
+        fam = C.family("mp(2)")
+        assert fam.atom == 0.5
+        m0, m1 = C.mass_and_mean(fam)
+        assert abs(m0 - 0.5) < 1e-6 and abs(m1 - 1.0) < 1e-6
+        cdf = C.cdf_interpolator(fam)
+        assert cdf(-0.1) == 0.0
+        assert cdf(0.1) == 0.5  # below the lower edge (1 - sqrt 2)^2
+        assert abs(cdf(fam.support[1]) - 1.0) < 1e-12
+
 
 class TestAgainstResolvent:
     @pytest.mark.parametrize("name", ["mp-sqrt", "mp-cbrt", "fc3"])

@@ -137,11 +137,20 @@ class TestCli:
         ["compare", "--measure", "mp(1)", "--simulate", "N=8,samples=1,c=1/0"],
         ["simulate", "--n", "8", "--shapes", "abc"],
         ["simulate", "--n", "8", "--shapes", "1/0"],
+        ["simulate", "--n", "8", "--samples", "1", "--histogram", "-1"],
     ])
     def test_malformed_simulation_number_is_a_typed_error(self, argv, capsys):
         code, out, err = self.run(argv, capsys)
         assert code == 1 and out == ""
         assert err and "Traceback" not in err
+
+    @pytest.mark.parametrize("measure", ["mp(1)*mp(1)", "fc2"])
+    @pytest.mark.parametrize("margin", ["1.5", "-0.5", "0.7"])
+    def test_edge_margin_outside_half_is_a_typed_error(self, measure, margin, capsys):
+        code, out, err = self.run(["density", "--measure", measure, "--points", "3",
+                                   "--edge-margin", margin], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: edge margin") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"],
@@ -193,6 +202,16 @@ class TestCli:
         assert blob["ks"] < 0.1
         m2 = next(m for m in blob["moments"] if m["k"] == 2)
         assert abs(m2["empirical"] - 3.0) < 0.3
+
+    def test_mp_alias_above_one_has_its_atom(self, capsys):
+        code, out, _ = self.run(["support", "--measure", "mp(2)", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["atom_at_zero"] == 0.5
+        code, out, _ = self.run(
+            ["compare", "--measure", "mp(2)", "--simulate", "N=64,samples=2,seed=1"], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert abs(blob["atom_fraction"] - 0.5) < 1e-12
+        assert blob["ks"] < 0.05
 
     def test_compare_explicit_overrides(self, capsys):
         code, out, _ = self.run(

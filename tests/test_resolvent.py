@@ -4,12 +4,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeconv import closedform as C
 from freeconv import grammar
 from freeconv import measures as M
+from freeconv import moments as Mo
 from freeconv import resolvent as R
-from freeconv.errors import DomainError, EdgeWarning, FreeconvError, NoConvergence
+from freeconv.errors import (DomainError, EdgeWarning, FreeconvError, MultiIntervalError,
+                             NoConvergence)
 
 
 @pytest.fixture(scope="module")
@@ -175,11 +179,49 @@ class TestSupportEdges:
         (M.free_power(M.mp(1), 2), 0.0, 27 / 4),
         (M.free_power(M.mp(1), F(1, 2)), 0.0, math.sqrt(27 / 4)),
         (M.boxtimes(M.arcsine(), M.mp(1)), 0.0, 3 * math.sqrt(3)),
+        # soft lower edges closer to zero than 1/512 of the upper edge
+        (M.mp(F(9, 10)), (1 - math.sqrt(0.9)) ** 2, (1 + math.sqrt(0.9)) ** 2),
+        (M.mp(F(11, 10)), (1 - math.sqrt(1.1)) ** 2, (1 + math.sqrt(1.1)) ** 2),
     ])
     def test_known_edges(self, spec, lo, hi):
         got_lo, got_hi = R.support_edges(M.build_resolvent(spec))
         assert abs(got_lo - lo) < 1e-8
         assert abs(got_hi - hi) < 1e-8
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30))
+    def test_mp_edges_property(self, p, q):
+        c = F(p, q)
+        lo, hi = R.support_edges(M.build_resolvent(M.mp(c)))
+        root = math.sqrt(c)
+        assert abs(lo - (1 - root) ** 2) <= 1e-10
+        assert abs(hi - (1 + root) ** 2) <= 1e-10
+        assert (lo == 0.0) == (c == 1)
+
+    def test_interior_critical_point_guard(self, monkeypatch):
+        # x(w)^q = h(w) has one critical point whose value lies inside the
+        # support; the physical branch does not reach it there
+        spec = M.mp(F(1, 3)) * M.mp(F(1, 2)) * M.mp(F(3, 4))
+        lo, _ = R.support_edges(M.build_resolvent(spec))
+        assert abs(lo - 0.0047583195) < 1e-9
+        P = np.polynomial.polynomial
+        num = P.polyfromroots([-1.0, -3.0, -2.0, -4.0 / 3.0])
+        crit = P.polyroots(P.polysub(P.polymul(P.polyder(num), [0, 1]), num)).real
+        wc = next(w for w in crit if -3.0 < w < -2.0)
+        calls = []
+
+        def real_branch(self, x, edge_distance=None):
+            # a Green's function whose w = x G - 1 sits on the critical point
+            calls.append(x)
+            return (1.0 + wc) / x
+
+        monkeypatch.setattr(R._BranchEvaluator, "extrapolated_green", real_branch)
+        with pytest.raises(MultiIntervalError):
+            R.support_edges(M.build_resolvent(spec))
+        assert len(calls) == 1
+        # a measure without interior candidates never continues the branch
+        R.support_edges(M.build_resolvent(M.mp(F(9, 10))))
+        assert len(calls) == 1
 
     def test_purely_atomic_measure_rejected(self):
         poly = M.build_resolvent(M.rational_factor((2, 2), (1, 2)))
@@ -223,6 +265,17 @@ class TestDensityCurve:
         assert blob["atom_at_zero"] == curve.atom_at_zero
         for (jx, jr), (x, rho) in zip(blob["points"], curve.points):
             assert jx == x and jr == rho
+
+    @pytest.mark.parametrize("spec", [M.mp(F(4, 5)) ** 2,
+                                      M.mp(F(1, 3)) * M.mp(F(1, 2)) * M.mp(F(3, 4))])
+    def test_soft_lower_edge_near_zero(self, spec):
+        poly = M.build_resolvent(spec)
+        curve = R.density_curve(poly, n_points=64)
+        assert curve.support[0] > 0.0
+        got = Mo.moments_from_density(curve, 3)
+        exact = Mo.moments_from_resolvent(poly, 3)
+        for k in (1, 2, 3):
+            assert abs(got[k] - float(exact[k])) <= 1e-6 * float(exact[k]), k
 
 
 class TestPotentialDerivative:
