@@ -277,6 +277,41 @@ class TestDensityCurve:
         for k in (1, 2, 3):
             assert abs(got[k] - float(exact[k])) <= 1e-6 * float(exact[k]), k
 
+    @pytest.mark.parametrize("margin", [1.5, -0.5, 0.5])
+    def test_margin_checked_before_the_source(self, margin, monkeypatch):
+        def fail(poly):
+            pytest.fail("density_source built for an invalid edge margin")
+
+        monkeypatch.setattr(R, "density_source", fail)
+        with pytest.raises(DomainError, match=r"edge margin .* is outside \[0, 1/2\)"):
+            R.density_curve(M.build_resolvent(M.mp(1) * M.mp(1)), n_points=3,
+                            edge_margin=margin)
+
+
+class TestDensitySource:
+    def test_quadrature_sweeps_the_trackers(self, monkeypatch):
+        # nodes evaluated in ascending x move the evaluator's trackers; in
+        # QUADPACK's alternating order this measure seeded 214 of them
+        seeded = []
+        init = R.BranchTracker.__init__
+
+        def counting_init(self, *args, **kwargs):
+            seeded.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(R.BranchTracker, "__init__", counting_init)
+        R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
+        assert 0 < len(seeded) <= 107
+
+    @pytest.mark.parametrize("spec, atom", [
+        (M.arcsine() * M.mp(2), F(1, 2)),
+        (M.arcsine() * M.mp(4), F(3, 4)),
+        (M.arcsine() * M.mp(F(7, 3)) ** 2, F(4, 7)),
+    ])
+    def test_atom_from_quadrature(self, spec, atom):
+        source = R.density_source(M.build_resolvent(spec))
+        assert abs(source.atom - float(atom)) <= 1e-9
+
 
 class TestPotentialDerivative:
     def test_mp_at_two(self, mp_poly):
