@@ -18,9 +18,9 @@ spec = measures.mp(1) ** 3
 print("measure:", spec.label())
 
 poly = measures.build_resolvent(spec)
-print("resolvent polynomial (rows = powers of w, columns = powers of z):")
-for i in range(poly.w_degree + 1):
-    print("  w^%d:" % i, [str(poly.coeff(i, j)) for j in range(poly.z_degree + 1)])
+print(f"P(w, z) = a0(w) + z^q aq(w) with q = {poly.clearing_power}, ascending in w:")
+print("  a0:", [str(c) for c in poly.a0])
+print("  aq:", [str(c) for c in poly.aq])
 
 lo, hi = resolvent.support_edges(poly)
 print(f"support located at [{lo:.12f}, {hi:.12f}]  (256/27 = {256/27:.12f})")

@@ -79,7 +79,6 @@ from .resolvent import (
     density,
     density_curve,
     green,
-    physical_branch,
     potential_derivative,
     roots_at,
     support_edges,

@@ -17,13 +17,12 @@ Reproducibility: sample j draws from a PCG64 stream seeded with
 ``SeedSequence([seed, j])``, so distinct (seed, j) pairs get
 independent streams, and Gaussians come from the stream's
 ``standard_normal``; results are bit-identical for a given
-(config, seed) regardless of how samples are scheduled.
+(config, seed).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -238,27 +237,13 @@ def build_sample(cfg, rng):
 def simulate(cfg):
     """Draw all samples and pool the rescaled eigenvalues.
 
-    Sample j draws from its own stream, seeded by
+    Sample j = 0, 1, ... draws from its own stream, seeded by
     ``SeedSequence([seed, j])``, so the result is bit-identical for a
-    given (config, seed) no matter how the samples are scheduled; the
-    FREECONV_THREADS environment variable sizes an optional thread pool
-    (matrix kernels release the GIL).
+    given (config, seed).
     """
-    threads = int(os.environ.get("FREECONV_THREADS", "1"))
-
-    def one(j):
-        return build_sample(cfg, _stream(cfg.seed, j))
-
-    if threads > 1 and cfg.samples > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(cfg.samples)))
-    else:
-        results = [one(j) for j in range(cfg.samples)]
-
     chunks = []
-    for eig, structural in results:
+    for j in range(cfg.samples):
+        eig, structural = build_sample(cfg, _stream(cfg.seed, j))
         if structural:
             chunks.append(np.zeros(structural))
         chunks.append(eig)

@@ -11,8 +11,10 @@ factor-list concatenation, and free powers multiply the exponents.  The
 Green's function of the measure is recovered from the functional
 equation  z * w(z) * S(w(z)) = 1 + w(z);  clearing denominators and
 fractional powers turns that equation into a bivariate polynomial
-P(w, z) = 0 with exact rational coefficients, which the resolvent
-module then solves numerically.
+P(w, z) = a0(w) + z^q aq(w) = 0 with exact rational coefficients.
+Only this module builds the two z-columns a0 and aq; the resolvent
+module solves P numerically and the moments module expands it as a
+series at infinity.
 """
 
 from __future__ import annotations
@@ -340,46 +342,57 @@ def clearing_power(spec):
 
 @dataclass(frozen=True, eq=False)
 class ResolventPolynomial:
-    """Bivariate polynomial P(w, z) = sum_ij coeffs[i][j] w^i z^j.
+    """Bivariate polynomial P(w, z) = a0(w) + z^q aq(w), q = ``clearing_power``.
 
-    Constructed so that the physical branch w(z) of the functional
-    equation  z w S(w) = 1 + w  is a root of P(., z).  When the
-    S-transform carries fractional exponents, both sides of the
-    equation are raised to ``clearing_power`` before clearing, which
-    introduces spurious root branches; downstream code stays off them
-    by seeding continuation on the physical sheet at large |z| and
-    holding the Herglotz sign of the Green's function.
+    ``a0`` and ``aq`` are the two nonzero z-columns of every cleared
+    equation, as ascending tuples of exact Fractions in w, with aq
+    divisible by w^q (see ``build_resolvent``).  The physical branch
+    w(z) of the functional equation  z w S(w) = 1 + w  is a root of
+    P(., z).  When the S-transform carries fractional exponents, both
+    sides of the equation are raised to ``clearing_power`` before
+    clearing, which introduces spurious root branches; downstream code
+    stays off them by seeding continuation on the physical sheet at
+    large |z| and holding the Herglotz sign of the Green's function.
     """
 
-    coeffs: tuple
-    w_degree: int
-    z_degree: int
+    a0: tuple
+    aq: tuple
     clearing_power: int
     source: MeasureSpec | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def w_degree(self):
+        return max(len(self.a0), len(self.aq)) - 1
+
+    @property
+    def z_degree(self):
+        return self.clearing_power
+
     def coeff(self, i, j):
         """Exact coefficient of w^i z^j."""
-        if 0 <= i <= self.w_degree and 0 <= j <= self.z_degree:
-            return self.coeffs[i][j]
-        return Fraction(0)
+        col = self.a0 if j == 0 else self.aq if j == self.clearing_power else ()
+        return col[i] if 0 <= i < len(col) else Fraction(0)
 
     @cached_property
-    def float_coeffs(self):
-        """The coefficients as a float array, rows in w and columns in z,
-        converted once on first numeric use: a rational beyond float
-        range fails where it is evaluated, not where it is built."""
-        return np.array([[float(c) for c in row] for row in self.coeffs])
+    def float_columns(self):
+        """(a0, aq) as float arrays of length ``w_degree + 1``, converted
+        once on first numeric use: a rational beyond float range fails
+        where it is evaluated, not where it is built."""
+        n = self.w_degree + 1
+        return tuple(np.array([float(c) for c in col] + [0.0] * (n - len(col)))
+                     for col in (self.a0, self.aq))
 
     def wcoeffs_at(self, z):
         """Coefficients of the univariate polynomial in w at fixed z,
         ascending, as a complex array (not finite where they overflow)."""
+        f0, fq = self.float_columns
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.float_coeffs @ np.power(complex(z), np.arange(self.z_degree + 1))
+            return f0 + np.power(complex(z), self.clearing_power) * fq
 
     def coefficient_scale_at(self, z):
-        zp = max(1.0, abs(complex(z))) ** self.z_degree
-        return float(np.abs(self.float_coeffs).max()) * zp
+        zp = max(1.0, abs(complex(z))) ** self.clearing_power
+        return float(max(np.abs(f).max() for f in self.float_columns)) * zp
 
     def __call__(self, w, z):
         w = complex(w)
@@ -401,9 +414,9 @@ def build_resolvent(spec):
     multiplied through by all factor denominators.  The sign convention
     keeps the (1 + w)^q side positive:
 
-        P(w, z) = (1+w)^q * prod(denoms) - z^q w^q * prod(numers)
+        a0(w) = (1+w)^q * prod(denoms),    aq(w) = -w^q * prod(numers)
 
-    so for the plain Marchenko-Pastur spec this is (1+w)(1+cw) - z w.
+    so for the plain Marchenko-Pastur spec P = (1+w)(1+cw) - z w.
     All coefficients are exact rationals.
     """
     q = clearing_power(spec)
@@ -417,29 +430,12 @@ def build_resolvent(spec):
         else:
             num_side = _pmul(num_side, _ppow(factor.denom_coeffs(), -e))
             one_side = _pmul(one_side, _ppow(factor.numer_coeffs(), -e))
-    one_side = _pmul(one_side, _ppow((Fraction(1), Fraction(1)), q))
-    # z-side coefficient of w^(i+q) z^q is num_side[i]
-    w_degree = max(len(one_side) - 1, len(num_side) - 1 + q)
-    rows = []
-    for i in range(w_degree + 1):
-        row = [Fraction(0)] * (q + 1)
-        if i < len(one_side):
-            row[0] += one_side[i]
-        if 0 <= i - q < len(num_side):
-            row[q] -= num_side[i - q]
-        rows.append(tuple(row))
-    while len(rows) > 1 and not any(rows[-1]):
-        rows.pop()
-    poly = ResolventPolynomial(
-        coeffs=tuple(rows),
-        w_degree=len(rows) - 1,
-        z_degree=q,
+    return ResolventPolynomial(
+        a0=_pmul(one_side, _ppow((Fraction(1), Fraction(1)), q)),
+        aq=(Fraction(0),) * q + tuple(-c for c in num_side),
         clearing_power=q,
         source=spec,
     )
-    if not any(poly.coeffs[-1]):
-        raise DomainError("resolvent polynomial has vanishing leading coefficient")
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -202,37 +202,24 @@ def _det_fraction(rows):
 # formal solution of resolvent polynomials
 # ---------------------------------------------------------------------------
 
-def resolvent_columns(poly):
-    """(a0, aq) with P(w, z) = a0(w) + z^q aq(w), q = ``poly.z_degree``, as
-    ascending Fraction lists; SeriesAmbiguity for any other power of z."""
-    q = poly.z_degree
-    rows = range(poly.w_degree + 1)
-    if any(poly.coeff(i, j) for i in rows for j in range(1, q)):
-        raise SeriesAmbiguity("resolvent polynomial mixes z powers other than 0 and q")
-    return [poly.coeff(i, 0) for i in rows], [poly.coeff(i, q) for i in rows]
-
-
 def moments_from_resolvent(poly, K):
     """First K+1 exact moments of the measure behind a resolvent polynomial.
 
     Expands the physical branch w(z) = sum_k m_k z^-k at infinity by
-    substituting w = u v(u), u = 1/z, into P(w, z) = 0 and solving for
-    the series v by Newton iteration in exact arithmetic.  The seed
-    v(0) = m_1 is the positive real root of the leading-order balance,
-    which pins the physical sheet: spurious sheets introduced by
-    fractional-power clearing never enter the expansion.
+    substituting w = u v(u), u = 1/z, into a0(w) + z^q aq(w) = 0 and
+    solving for the series v by Newton iteration in exact arithmetic.
+    The seed v(0) = m_1 is the positive real root of the leading-order
+    balance, which pins the physical sheet: spurious sheets introduced
+    by fractional-power clearing never enter the expansion.
     """
     K = int(K)
     if K < 0:
         raise DomainError("moment order must be >= 0")
     if K == 0:
         return MomentSequence((Fraction(1),))
-    q = poly.z_degree
-    a0, aq = resolvent_columns(poly)
-    if any(aq[:q]):
-        raise SeriesAmbiguity("z^q column is not divisible by w^q")
-    b = aq[q:]  # A_q(w) = w^q B(w)
-    if not b or b[0] == 0 or not a0 or a0[0] == 0:
+    q, a0 = poly.clearing_power, poly.a0
+    b = poly.aq[q:]  # aq(w) = w^q B(w)
+    if any(poly.aq[:q]) or not b or b[0] == 0 or not a0 or a0[0] == 0:
         raise SeriesAmbiguity("degenerate leading structure in resolvent polynomial")
 
     t0 = -Fraction(a0[0]) / b[0]

@@ -34,13 +34,10 @@ from .errors import (
     NoConvergence,
     QuadratureError,
 )
-from .measures import s_eval
-from .moments import resolvent_columns
 
 __all__ = [
     "roots_at",
     "BranchTracker",
-    "physical_branch",
     "green",
     "density",
     "density_curve",
@@ -141,14 +138,14 @@ class BranchTracker:
     Single-owner mutable state: use one tracker per thread.
     """
 
-    def __init__(self, poly, seed=None, m1=None):
+    def __init__(self, poly, seed=None):
         self.poly = poly
-        if m1 is None:
-            if poly.source is not None:
-                m1 = (1.0 / s_eval(poly.source, 0.0)).real
-            else:
-                m1 = 1.0
-        self.m1 = m1
+        # w ~ m1/z at large |z|, where a0(0) + aq[q] m1^q = 0
+        q = poly.clearing_power
+        lead = poly.aq[q] if len(poly.aq) > q else 0
+        if not lead or -poly.a0[0] / lead <= 0:
+            raise BranchAmbiguity("P(w, z) has no asymptote w ~ m1/z with m1 > 0")
+        m1 = float(-poly.a0[0] / lead) ** (1.0 / q)
         z0 = complex(seed) if seed is not None else SEED_HEIGHT * 1j
         if abs(z0) < 50.0:
             raise DomainError("tracker seed must sit at large |z| (asymptotic sheet)")
@@ -182,15 +179,13 @@ class BranchTracker:
         return g.imag <= tol * max(1.0, abs(g))
 
     def _slope(self, w, z):
-        """dw/dz = -P_z / P_w by implicit differentiation (None at a
-        branch point, where P_w vanishes)."""
-        coeffs = self.poly.float_coeffs
-        j = np.arange(coeffs.shape[1])
-        zp = np.power(z, j)
-        pw = _horner_pair((coeffs @ zp).tolist(), w)[1]
-        pz = _horner_pair((coeffs[:, 1:] @ (j[1:] * zp[:-1])).tolist(), w)[0]
+        """dw/dz = -P_z / P_w by implicit differentiation, with
+        P_z = q z^(q-1) aq(w) (None at a branch point, where P_w vanishes)."""
+        poly, q = self.poly, self.poly.clearing_power
+        pw = _horner_pair(poly.wcoeffs_at(z).tolist(), w)[1]
         if pw == 0:
             return None
+        pz = _horner_pair((q * np.power(z, q - 1) * poly.float_columns[1]).tolist(), w)[0]
         return -pz / pw
 
     def move_to(self, z_target):
@@ -260,11 +255,6 @@ class BranchTracker:
         self.z = z_target
         self.w = w
         return w
-
-
-def physical_branch(tracker, z_target):
-    """The physical-branch root w(z_target), reached by continuation."""
-    return tracker.move_to(z_target)
 
 
 def green(tracker, z):
@@ -398,8 +388,8 @@ def support_edges(poly):
     cached = poly._cache.get("support")
     if cached is not None:
         return cached
-    q, _P = poly.z_degree, np.polynomial.polynomial
-    a0, aq = np.polynomial.polyutils.as_series(resolvent_columns(poly))
+    q, _P = poly.clearing_power, np.polynomial.polynomial
+    a0, aq = np.polynomial.polyutils.as_series([poly.a0, poly.aq])
     common = _polygcd(a0, aq)
     a0, aq = _P.polydiv(a0, common)[0], _P.polydiv(aq, common)[0]
     fa0, faq = a0.astype(float), aq.astype(float)

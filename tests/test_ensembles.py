@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -130,16 +129,6 @@ class TestSimulate:
         a = E._stream(2024, 1).standard_normal(8)
         b = E._stream(2025, 0).standard_normal(8)
         assert not np.array_equal(a, b)
-
-    def test_determinism_under_threading(self):
-        cfg = E.EnsembleConfig(n=32, ginibre_shape_ratios=(1,), samples=6, seed=12)
-        serial = E.simulate(cfg)
-        os.environ["FREECONV_THREADS"] = "3"
-        try:
-            threaded = E.simulate(cfg)
-        finally:
-            del os.environ["FREECONV_THREADS"]
-        assert np.array_equal(serial.values, threaded.values)
 
     def test_mean_and_positivity(self):
         cfg = E.EnsembleConfig(n=64, ginibre_shape_ratios=(1, 1), samples=5, seed=3)

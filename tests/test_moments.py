@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeconv import measures as M
 from freeconv import moments as Mo
@@ -76,6 +78,29 @@ class TestMomentsFromResolvent:
         poly = M.build_resolvent(M.mp(1))
         ms = Mo.moments_from_resolvent(poly, 8)
         assert all(d >= 0 for d in ms.hankel_determinants(4))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.booleans(),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2])),
+                    min_size=2, max_size=3))
+    def test_boxtimes_chain_matches_the_resolvent(self, leading_as, factors):
+        # [as *] mp(p/q)^e * ...: the S-series product of the factors'
+        # closed-form moments against the series of the cleared polynomial
+        K = 6
+        spec = M.arcsine() if leading_as else M.identity()
+        chain = [[F(comb(2 * k, k), 2 ** k) for k in range(K + 1)]] if leading_as else []
+        for p, q, e in factors:
+            c = F(p, q)
+            spec = spec * M.mp(c) ** e
+            # Narayana polynomials: m_k = sum_j binom(k, j) binom(k, j - 1) c^(k - j) / k
+            narayana = [F(1)] + [sum(F(comb(k, j) * comb(k, j - 1), k) * c ** (k - j)
+                                     for j in range(1, k + 1)) for k in range(1, K + 1)]
+            chain += [narayana] * e
+        want = chain[0]
+        for m in chain[1:]:
+            want = Mo.boxtimes_moments(want, m, K)
+        got = Mo.moments_from_resolvent(M.build_resolvent(spec), K)
+        assert got.values == want.values
 
 
 class TestCumulants:

@@ -12,8 +12,8 @@ from freeconv import grammar
 from freeconv import measures as M
 from freeconv import moments as Mo
 from freeconv import resolvent as R
-from freeconv.errors import (DomainError, EdgeWarning, FreeconvError, MultiIntervalError,
-                             NoConvergence)
+from freeconv.errors import (BranchAmbiguity, DomainError, EdgeWarning, FreeconvError,
+                             MultiIntervalError, NoConvergence, SeriesAmbiguity)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,13 @@ def mp_poly():
 @pytest.fixture(scope="module")
 def fc3_poly():
     return M.build_resolvent(M.free_power(M.mp(1), 3))
+
+
+@pytest.fixture(scope="module")
+def fc2_columns():
+    # z w = (1 + w)^3 from its two z-columns, with no measure spec behind it
+    return M.ResolventPolynomial(a0=(F(1), F(3), F(3), F(1)), aq=(F(0), F(-1)),
+                                 clearing_power=1)
 
 
 class TestRootsAt:
@@ -355,3 +362,32 @@ class TestCdfInterpolator:
         cdf = R.cdf_interpolator(poly)
         assert abs(cdf(0.05) - 0.5) < 1e-3  # atom of weight 1/2 below support
         assert abs(cdf(10.0) - 1.0) < 1e-9
+
+
+class TestPolynomialWithoutSpec:
+    def test_support(self, fc2_columns):
+        lo, hi = R.support_edges(fc2_columns)
+        assert abs(lo) < 1e-10
+        assert abs(hi - 27 / 4) < 1e-10
+
+    def test_density_matches_closed_form(self, fc2_columns):
+        fam = C.family("fc2")
+        for x in (1.0, 3.0, 5.0):
+            assert abs(R.density(fc2_columns, x) - fam.density(x)) < 1e-8
+
+    def test_exact_moments(self, fc2_columns):
+        ms = Mo.moments_from_resolvent(fc2_columns, 6)
+        assert list(ms.values) == [Mo.fuss_catalan(2, n) for n in range(7)]
+
+    def test_no_asymptotic_seed(self):
+        # P = 1 + w - z: aq has no w^q term, so w does not fall like m1/z
+        poly = M.ResolventPolynomial(a0=(F(1), F(1)), aq=(F(-1),), clearing_power=1)
+        with pytest.raises(BranchAmbiguity):
+            R.BranchTracker(poly)
+
+    def test_no_series_unless_w_q_divides_aq(self):
+        # (1 + w)((1 + w)^2 - z): no root falls like m1/z
+        poly = M.ResolventPolynomial(a0=(F(1), F(3), F(3), F(1)), aq=(F(-1), F(-1)),
+                                     clearing_power=1)
+        with pytest.raises(SeriesAmbiguity):
+            Mo.moments_from_resolvent(poly, 4)
