@@ -220,6 +220,8 @@ def cmd_ring(args):
 
 
 def cmd_potential(args):
+    if args.x is None and args.points < 1:
+        raise DomainError(f"point count must be at least 1, not {args.points}")
     _, spec = grammar.parse_target(args.measure)
     poly = measures.build_resolvent(spec)
     lo, hi = resolvent.support_edges(poly)

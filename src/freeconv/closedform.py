@@ -152,6 +152,7 @@ def _bures2_density(x):
 # ---------------------------------------------------------------------------
 
 def _mp_family(c):
+    measure = measures.mp(c)  # DomainError unless c > 0
     c = measures._rational_coerce(c)
     (lo, hi), rho = _mp_density(c)
     p_lo = 2.0  # x^(-1/2) divergence at c = 1, square-root vanishing otherwise
@@ -159,7 +160,7 @@ def _mp_family(c):
         name=f"mp({c})",
         support=(lo, hi),
         atom=float(max(0, 1 - 1 / c)),  # the formula carries mass min(1, 1/c)
-        measure=measures.mp(c),
+        measure=measure,
         edge_powers=(p_lo, 2.0),
         _density=rho,
     )

@@ -102,6 +102,8 @@ class RadialProfile:
 
 def radial_profile(spec, n_points=200):
     """F(r) on a grid covering the ring (plus a small overhang)."""
+    if n_points < 1:
+        raise DomainError(f"point count must be at least 1, not {n_points}")
     r_in, r_out = ring_radii(spec)
     rs = np.linspace(max(r_in * 0.5, 1e-6), r_out * 1.05, n_points)
     s_range = _assert_monotone(spec)  # one pre-scan for the whole grid

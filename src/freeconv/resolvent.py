@@ -3,8 +3,11 @@
 Given the cleared polynomial P(w, z) = 0 from ``build_resolvent``, this
 module finds all roots in w at fixed z (companion-matrix eigenvalues,
 each polished by one Newton step), follows the physical branch from the
-w ~ m1/z asymptote at large |z| down to the real axis by
-tangent-predictor continuation, and performs the Stieltjes inversion
+w ~ m1/z asymptote at |z| >= 4R (R the upper support edge, where the
+moment bound m_n <= m1 R^(n-1) leaves one root near m1/z; higher for
+clearing powers above 6) down to the real axis by tangent-predictor
+continuation, drops a second epsilon level vertically from the first,
+and performs the Stieltjes inversion
 
     rho(x) = -(1/pi) * lim_{eps->0} Im G(x + i eps),    G = (1 + w)/z
 
@@ -18,6 +21,7 @@ quadrature (``integral``) and one CDF table (``tabulated_cdf``) over a
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import warnings
@@ -122,16 +126,26 @@ def roots_at(poly, z, return_info=False):
 # physical-branch continuation
 # ---------------------------------------------------------------------------
 
+def _seed_radius(q):
+    """The radius, in units of |m1/z|, about the seed target m1/z within
+    which the physical root must be the only root.  The q roots near
+    m1/z are w(z e^(2 pi i k/q)), whose targets lie 2 sin(pi/q) |m1/z|
+    apart; a radius of half that keeps them apart for q > 6."""
+    return 0.5 if q <= 6 else math.sin(math.pi / q)
+
+
 class BranchTracker:
     """Follows the physical branch w(z) of a resolvent polynomial.
 
     The tracker is seeded at large |z| where w ~ m1/z identifies the
-    physical sheet, then moved along straight segments with adaptive
-    steps: a first-order prediction of w must land on a root of the new
-    root set with the second-nearest root at least twice as far away,
-    the prediction error must stay small against the local sheet
-    separation, and the matched root must keep the Herglotz sign
-    Im G <= 0 required of a Cauchy transform in the upper half plane.
+    physical sheet: the root nearest to m1/z must be the only one within
+    ``_seed_radius`` of it.  It is then moved along straight segments
+    with adaptive steps: a first-order prediction of w must land on a
+    root of the new root set with the second-nearest root at least
+    twice as far away, the prediction error must stay small against the
+    local sheet separation, and the matched root must keep the Herglotz
+    sign Im G <= 0 required of a Cauchy transform in the upper half
+    plane.
     Together with the asymptotic seed this keeps the continuation off
     the spurious sheets that fractional-power clearing introduces.
 
@@ -151,11 +165,15 @@ class BranchTracker:
             raise DomainError("tracker seed must sit at large |z| (asymptotic sheet)")
         roots = roots_at(self.poly, z0)
         target = m1 / z0
+        radius = _seed_radius(q) * abs(target)
         roots.sort(key=lambda r: abs(r - target))
         w0 = roots[0]
-        if abs(w0 - target) > 0.5 * abs(target):
+        if abs(w0 - target) > radius:
             raise BranchAmbiguity(
                 f"no root near the asymptotic seed m1/z at z={z0}")
+        if len(roots) > 1 and abs(roots[1] - target) <= radius:
+            raise BranchAmbiguity(
+                f"two roots near the asymptotic seed m1/z at z={z0}")
         self.z = z0
         self.w = w0
 
@@ -271,18 +289,28 @@ class _BranchEvaluator:
     """Trackers pinned to lines Im z = eps for a small set of eps levels.
 
     Walking horizontally between density queries continues from the
-    previous point on the branch; a jump beyond 0.1 max(1, |x|) descends
-    afresh from x + 1e6 i instead, so queries are cheap in ascending x
-    (a sampling grid, the node batches of ``integral``) and dear when
-    scattered.  Near a support edge the default
+    previous point on the branch; a jump beyond 0.1 max(1, |x|) starts
+    the level afresh at x instead.  A fresh level whose x another level
+    already sits at is a copy of that tracker, dropped vertically (one
+    step from 1e-6 to 1e-7, as a rule).  Otherwise it descends from
+    x + i max(50, R (1 + 3/(2 r))), R the upper support edge and r the
+    ``_seed_radius`` (1/2 up to clearing power 6, so 4R there): w(z) =
+    sum m_n z^(-n) with m_n <= m1 R^(n-1), so |w - m1/z| <= |m1/z|
+    rho/(1 - rho) for rho = R/|z|, which at that height puts the
+    physical root within 2r/3 |m1/z| of the seed target m1/z and every
+    other root near m1/z beyond r |m1/z|, where the tracker checks that
+    the physical root is alone.  So queries are cheap in ascending x (a
+    sampling grid, the node batches of ``integral``) and a scattered
+    one costs a short descent.  Near a support edge the default
     epsilon pair cannot resolve the limit (the Richardson residual
     grows like (eps/d)^2 at distance d), so when the caller passes the
     edge distance the pair is tightened to eps <= d/1000, quantized to
     powers of ten to keep the tracker count bounded.
     """
 
-    def __init__(self, poly):
+    def __init__(self, poly, upper_edge):
         self.poly = poly
+        self._height = max(50.0, upper_edge * (1.0 + 1.5 / _seed_radius(poly.clearing_power)))
         self._trackers = {}
 
     def _tracker_at(self, eps, x):
@@ -292,7 +320,11 @@ class _BranchEvaluator:
         if tr is not None and abs(x - tr.z.real) > 0.1 * max(1.0, abs(tr.z.real)):
             tr = None
         if tr is None:
-            tr = BranchTracker(self.poly, seed=complex(x, SEED_HEIGHT))
+            above = [t for t in self._trackers.values() if t.z.real == x]
+            if above:
+                tr = copy.copy(min(above, key=lambda t: abs(t.z.imag - eps)))
+            else:
+                tr = BranchTracker(self.poly, seed=complex(x, self._height))
             tr.move_to(complex(x, eps))
             self._trackers[eps] = tr
         return tr
@@ -315,7 +347,11 @@ class _BranchEvaluator:
 def _evaluator(poly):
     ev = poly._cache.get("evaluator")
     if ev is None:
-        ev = _BranchEvaluator(poly)
+        # support_edges records the upper edge before its own interior check
+        upper_edge = poly._cache.get("upper_edge")
+        if upper_edge is None:
+            upper_edge = support_edges(poly)[1]
+        ev = _BranchEvaluator(poly, upper_edge)
         poly._cache["evaluator"] = ev
     return ev
 
@@ -419,6 +455,7 @@ def support_edges(poly):
     lo = 0.0 if mult != q else x_crit(below[-1]) if below else x_limit(-1)
     if not lo < hi < math.inf:
         raise DomainError(f"no bounded continuous spectrum: the edges are {lo} and {hi}")
+    poly._cache["upper_edge"] = hi  # sets the trackers' seed height, also below
     for wc in crit:
         xc = x_crit(wc)
         if wc in above[:1] + below[-1:] or not lo < xc < hi:
@@ -523,9 +560,9 @@ def integral(source, k=0, x=None):
     """(Integral of x^k rho over the continuous part up to ``x``, error
     estimate), by SciPy's vectorised adaptive 21-point Gauss-Kronrod in
     each edge's variable t from the floor to the middle of the support,
-    each batch of nodes evaluated in ascending x, and the power-law head
-    on each floor strip; ``x`` defaults to the upper edge.  Each caller
-    holds the error estimate to its own bound.
+    each node evaluated once and each batch in ascending x, and the
+    power-law head on each floor strip; ``x`` defaults to the upper
+    edge.  Each caller holds the error estimate to its own bound.
     """
     from scipy import integrate
 
@@ -547,13 +584,14 @@ def integral(source, k=0, x=None):
         if f > 0.0 and near == f:  # the floor strip lies below ``top``
             total += _edge_head(rho, edge, f, s, k)
 
+        seen = {}  # cubature evaluates overlapping node sets
+
         def batch(t):
             t = t[:, 0].tolist()
-            out = np.empty(len(t))
             # in ascending x, so that the trackers step between neighbouring nodes
-            for i in sorted(range(len(t)), key=lambda i: s * t[i]):
-                out[i] = weighted(edge + s * t[i] ** p) * p * t[i] ** (p - 1.0)
-            return out
+            for ti in sorted({ti for ti in t if ti not in seen}, key=lambda ti: s * ti):
+                seen[ti] = weighted(edge + s * ti ** p) * p * ti ** (p - 1.0)
+            return np.array([seen[ti] for ti in t])
 
         res = integrate.cubature(batch, [near ** (1.0 / p)], [far ** (1.0 / p)], rule="gk21",
                                  rtol=1e-10, atol=1e-10, max_subdivisions=200)
@@ -702,7 +740,9 @@ def curve_integral(curve, k=0):
     return val
 
 
-def _check_margin(edge_margin):
+def _check_grid(n_points, edge_margin):
+    if n_points < 1:
+        raise DomainError(f"point count must be at least 1, not {n_points}")
     if not 0.0 <= edge_margin < 0.5:
         raise DomainError(f"edge margin {edge_margin} is outside [0, 1/2)")
 
@@ -725,7 +765,7 @@ def density_curve(poly, n_points=512, edge_margin=0.01):
     """The ``density_source`` of ``poly``, sampled on a grid clustered
     toward the edges that leaves ``edge_margin`` of the support width
     free at each edge."""
-    _check_margin(edge_margin)  # before the source, whose atom is a quadrature
+    _check_grid(n_points, edge_margin)  # before the source, whose atom is a quadrature
     return _sampled(density_source(poly), n_points, edge_margin)
 
 
@@ -734,7 +774,7 @@ def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
     """Assemble a DensityCurve from a pointwise density callable (for
     measures with a closed form) on the same cosine-clustered grid used
     by ``density_curve``."""
-    _check_margin(edge_margin)
+    _check_grid(n_points, edge_margin)
     lo, hi = support
     source = DensitySource((float(lo), float(hi)), float(atom), density_fn,
                            tuple(edge_powers), (0.0, 0.0))

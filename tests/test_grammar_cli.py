@@ -153,6 +153,22 @@ class TestCli:
         assert err.startswith("error: edge margin") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["density", "--measure", "mp(1)", "--points", "-3"],
+        ["density", "--measure", "fc2", "--points", "0"],
+        ["ring", "--measure", "mp(1)", "--points", "-1"],
+        ["potential", "--measure", "mp(1)*mp(1/2)", "--points", "-2"],
+    ])
+    def test_point_count_below_one_is_a_typed_error(self, argv, capsys):
+        code, out, err = self.run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: point count must be at least 1, not {argv[-1]}\n"
+
+    def test_mp_alias_of_zero_is_a_typed_error(self, capsys):
+        code, out, err = self.run(["support", "--measure", "mp(0)"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: Marchenko-Pastur rectangularity must be > 0\n"
+
+    @pytest.mark.parametrize("argv", [
         ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"],
         ["density", "--measure", f"mp(1)*rat({10 ** 320 + 1};1)"],
         ["potential", "--measure", f"mp(1)*rat(1;{10 ** 320 + 1})"],

@@ -132,6 +132,39 @@ class TestBranchTracking:
             g = R._evaluator(poly).extrapolated_green(x, x)
             assert abs(g.imag) < 1e-8
 
+    @pytest.mark.parametrize("expr", ["mp(1)^2", "as*mp(1)^2", "mp(1)^(1/3)",
+                                      "mp(1/4)*mp(1)"])
+    def test_seed_above_the_upper_edge_matches_the_high_seed(self, expr):
+        # at |z| >= 4R the physical root is within |m1/z|/3 of m1/z, so a
+        # descent from there ends on the root the one from 1e6 ends on
+        poly = M.build_resolvent(grammar.parse_measure(expr))
+        lo, hi = R.support_edges(poly)
+        for x in lo + (hi - lo) * np.linspace(0.05, 0.95, 10):
+            for eps in R.DEFAULT_EPS_PAIR:
+                z = complex(float(x), eps)
+                low = R.BranchTracker(poly, seed=complex(float(x), max(50.0, 4.0 * hi)))
+                high = R.BranchTracker(poly, seed=complex(float(x), 1e6))
+                assert low.move_to(z) == high.move_to(z)
+
+    def test_seed_with_two_roots_near_m1_over_z_is_ambiguous(self, mp_poly, monkeypatch):
+        target = 1.0 / 1e6j  # m1 = 1
+        monkeypatch.setattr(R, "roots_at", lambda poly, z: [1.1 * target, 0.7 * target])
+        with pytest.raises(BranchAmbiguity, match="two roots"):
+            R.BranchTracker(mp_poly, seed=1e6j)
+
+    @pytest.mark.parametrize("expr", ["mp(1)^(1/13)", "mp(1)^(12/13)"])
+    def test_seed_for_a_large_clearing_power(self, expr):
+        # the 13 roots near e^(2 pi i k/13)/z lie 0.48 |m1/z| apart, so the
+        # seed sits higher than 4R and checks a smaller radius
+        poly = M.build_resolvent(grammar.parse_measure(expr))
+        lo, hi = R.support_edges(poly)
+        x = lo + 0.4 * (hi - lo)
+        g1, g2 = (R.green(R.BranchTracker(poly, seed=complex(x, 1e6)), complex(x, eps))
+                  for eps in R.DEFAULT_EPS_PAIR)
+        e1, e2 = R.DEFAULT_EPS_PAIR
+        want = -(g2 + (g2 - g1) * (e2 / (e1 - e2))).imag / math.pi
+        assert R.density(poly, x) == want
+
     def test_path_independence(self, fc3_poly):
         # vertical descent vs L-shaped route reach the same branch
         x = 2.0
@@ -171,6 +204,24 @@ class TestDensity:
             fresh = M.build_resolvent(spec)
             fresh._cache["support"] = (lo, hi)
             assert R.density(fresh, float(x)) == R.density(swept, float(x))
+
+    def test_scattered_queries_descend_briefly(self, monkeypatch):
+        # each query seeds one level above the upper edge and drops the
+        # other from it; descending both from 1e6 took about 42 solves
+        poly = M.build_resolvent(M.free_power(M.mp(1), 2))
+        lo, hi = R.support_edges(poly)
+        calls = []
+        roots_at = R.roots_at
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return roots_at(*args, **kwargs)
+
+        monkeypatch.setattr(R, "roots_at", counting)
+        xs = lo + (hi - lo) * np.random.default_rng(12).uniform(0.05, 0.95, 40)
+        for x in xs:
+            R.density(poly, float(x))
+        assert len(calls) <= 20 * len(xs)
 
     def test_fc3_matches_closed_form(self, fc3_poly):
         fam = C.family("fc3")
@@ -309,6 +360,20 @@ class TestDensitySource:
         monkeypatch.setattr(R.BranchTracker, "__init__", counting_init)
         R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
         assert 0 < len(seeded) <= 107
+
+    def test_quadrature_evaluates_each_node_once(self, monkeypatch):
+        # cubature asks for overlapping node sets; at 320 evaluations it
+        # computed each node about twice
+        calls = []
+        green = R._BranchEvaluator.extrapolated_green
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return green(self, *args, **kwargs)
+
+        monkeypatch.setattr(R._BranchEvaluator, "extrapolated_green", counting)
+        R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
+        assert 0 < len(calls) <= 160
 
     @pytest.mark.parametrize("spec, atom", [
         (M.arcsine() * M.mp(2), F(1, 2)),
