@@ -306,30 +306,6 @@ def s_eval(spec, w):
     return out
 
 
-def s0_exact(spec):
-    """S(0) as an exact Fraction, or None when it is irrational."""
-    q = clearing_power(spec)
-    prod = Fraction(1)
-    for factor, expo in spec.factors:
-        e = int(expo * q)
-        base = Fraction(factor.numer_coeffs()[0], factor.denom_coeffs()[0])
-        prod *= base ** e
-    return _nth_root_fraction(prod, q)
-
-
-def first_moment(spec):
-    """m1 = 1 / S(0) as a float (always available)."""
-    return (1.0 / s_eval(spec, 0.0)).real
-
-
-def first_moment_exact(spec):
-    """m1 = 1 / S(0) as an exact Fraction, or None when irrational."""
-    s0 = s0_exact(spec)
-    if s0 is None or s0 == 0:
-        return None
-    return 1 / s0
-
-
 def clearing_power(spec):
     """lcm of the exponent denominators (1 for the identity measure)."""
     dens = [e.denominator for _, e in spec.factors]

@@ -1,17 +1,21 @@
 """Exact moments and free cumulants.
 
 Everything in this module except ``moments_from_density`` works in
-exact rational arithmetic: Fuss-Catalan numbers, formal power-series
-solution of resolvent polynomials, conversion between moments and free
-cumulants, and S-transform coefficient series.  The series machinery
-rests on one compositional-inversion primitive:
+exact rational arithmetic: Fuss-Catalan numbers, the moments of a
+resolvent polynomial, conversion between moments and free cumulants,
+and S-transform coefficient series.  Every series comes from one
+primitive, J.C.P. Miller's power recurrence for f = g^alpha
+(``_spower``).  A series inverse is its alpha = -1, and the
+compositional inverse g of f = f1 u + f2 u^2 + ... follows by Lagrange
+inversion, [y^k] g = (1/k) [u^(k-1)] (f/u)^(-k).  The free transforms
+enter as compositional inverses:
 
     G~(u)  = u + m1 u^2 + m2 u^3 + ...      (G(z) written in u = 1/z)
     phi(y) = y / (1 + y R(y))
 
-are compositional inverses of each other, which is the functional
-relation R(G(z)) + 1/G(z) = z at series level.  Likewise y -> y S(y)
-and z -> z R(z) are mutually inverse when the first moment is nonzero.
+are inverse to each other, which is the functional relation
+R(G(z)) + 1/G(z) = z at series level.  Likewise y -> y S(y) and
+z -> z R(z) are mutually inverse when the first moment is nonzero.
 """
 
 from __future__ import annotations
@@ -72,53 +76,45 @@ def _smul(a, b, n):
     return out
 
 
+def _sderiv(a):
+    return [k * ak for k, ak in enumerate(a)][1:]
+
+
+def _spower(c, d, alpha, f0, n):
+    """f_0 .. f_(n-1) of the series f with c f' = alpha d f, f(0) = f0.
+
+    J.C.P. Miller's power recurrence: with c = g and d = g' the solution
+    is f = g^alpha (f0 = g(0)^alpha); c(0) != 0.  The coefficient of u^k
+    in c f' - alpha d f = 0 gives f_(k+1) from f_0 .. f_k.
+    """
+    f, c0 = [Fraction(f0)], Fraction(c[0])
+    for k in range(n - 1):
+        acc = alpha * sum(d[i] * f[k - i] for i in range(min(k + 1, len(d))) if d[i])
+        acc -= sum(c[i] * (k + 1 - i) * f[k + 1 - i]
+                   for i in range(1, min(k + 1, len(c))) if c[i])
+        f.append(acc / ((k + 1) * c0))
+    return f[:n]
+
+
 def _sinv(a, n):
     """Multiplicative inverse of a series with a[0] != 0."""
     if not a or a[0] == 0:
         raise SeriesAmbiguity("series inverse needs a nonzero constant term")
-    inv0 = 1 / a[0]
-    out = [Fraction(0)] * n
-    out[0] = inv0
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return out
-
-
-def _scompose(f, g, n):
-    """f(g(u)) truncated to order n; requires g[0] == 0."""
-    if g and g[0] != 0:
-        raise SeriesAmbiguity("series composition needs g(0) = 0")
-    out = [Fraction(0)] * n
-    for c in reversed(f[:n] if len(f) > n else f):
-        out = _smul(out, g, n)
-        out[0] += c
-    return out
+    a = a[:n]
+    return _spower(a, _sderiv(a), -1, 1 / Fraction(a[0]), n)
 
 
 def _sreversion(f, n):
-    """Compositional inverse of f = f1 u + f2 u^2 + ... with f1 != 0.
+    """Compositional inverse g of f = f1 u + f2 u^2 + ... with f1 != 0.
 
-    Newton iteration g <- g - (f(g) - u) / f'(g) on truncated series.
+    Lagrange inversion: [y^k] g = (1/k) [u^(k-1)] (f/u)^(-k).
     """
     if len(f) < 2 or f[0] != 0 or f[1] == 0:
         raise SeriesAmbiguity("series reversion needs f(0) = 0, f'(0) != 0")
-    fprime = [(k + 1) * fk for k, fk in enumerate(f[1:])]
-    g = [Fraction(0)] * n
-    g[1] = 1 / f[1]
-    for _ in range(max(2, n.bit_length() + 2)):
-        fg = _scompose(f, g, n)
-        fg[1] -= 1  # f(g) - u
-        if not any(fg):
-            return g
-        fpg = _scompose(fprime, g, n)
-        corr = _smul(fg, _sinv(fpg, n), n)
-        g = [gi - ci for gi, ci in zip(g, corr)]
-    # converged as far as the truncation allows
-    return g
+    h = f[1:n]  # f/u
+    hp = _sderiv(h)
+    return [Fraction(0)] + [_spower(h, hp, -k, Fraction(h[0]) ** -k, k)[-1] / k
+                            for k in range(1, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +201,14 @@ def _det_fraction(rows):
 def moments_from_resolvent(poly, K):
     """First K+1 exact moments of the measure behind a resolvent polynomial.
 
-    Expands the physical branch w(z) = sum_k m_k z^-k at infinity by
-    substituting w = u v(u), u = 1/z, into a0(w) + z^q aq(w) = 0 and
-    solving for the series v by Newton iteration in exact arithmetic.
-    The seed v(0) = m_1 is the positive real root of the leading-order
-    balance, which pins the physical sheet: spurious sheets introduced
-    by fractional-power clearing never enter the expansion.
+    The physical branch w(z) = sum_(k>=1) m_k z^-k of a0(w) + z^q aq(w) = 0
+    satisfies (z w)^q = a0(w) / b(w) with b = -aq / w^q, that is
+    w = u phi(w) in u = 1/z with phi = (a0/b)^(1/q).  Lagrange inversion
+    gives m_n = (1/n) [w^(n-1)] (a0/b)^(n/q) in exact arithmetic, each
+    power from the recurrence a0 b f' = (n/q) (a0' b - a0 b') f.
+    The seed f(0) = m_1^n takes m_1 = phi(0) as the positive rational
+    root of a0(0)/b(0), which pins the physical sheet: spurious sheets
+    introduced by fractional-power clearing never enter the expansion.
     """
     K = int(K)
     if K < 0:
@@ -218,58 +216,18 @@ def moments_from_resolvent(poly, K):
     if K == 0:
         return MomentSequence((Fraction(1),))
     q, a0 = poly.clearing_power, poly.a0
-    b = poly.aq[q:]  # aq(w) = w^q B(w)
+    b = [-c for c in poly.aq[q:]]
     if any(poly.aq[:q]) or not b or b[0] == 0 or not a0 or a0[0] == 0:
         raise SeriesAmbiguity("degenerate leading structure in resolvent polynomial")
 
-    t0 = -Fraction(a0[0]) / b[0]
-    v0 = _nth_root_fraction(t0, q)
-    if v0 is None or v0 <= 0:
+    m1 = _nth_root_fraction(Fraction(a0[0]) / b[0], q)
+    if m1 is None or m1 <= 0:
         raise SeriesAmbiguity("first moment is not a positive rational; cannot expand exactly")
 
-    n = K  # v carries u^0 .. u^(K-1); m_k = v[k-1]
-    v = [Fraction(0)] * n
-    v[0] = v0
-
-    def eval_at_uv(coeffs, vser):
-        """Series of poly(u * v(u)): term c_i (u v)^i lands at offset i."""
-        out = [Fraction(0)] * n
-        power = [Fraction(1)] + [Fraction(0)] * (n - 1)  # v^i, updated in place
-        for i, ci in enumerate(coeffs):
-            if i > 0:
-                power = _smul(power, vser, n)
-            if ci == 0 or i >= n:
-                continue
-            for k in range(i, n):
-                out[k] += ci * power[k - i]
-        return out
-
-    a0p = [(i + 1) * c for i, c in enumerate(a0[1:])]
-    bp = [(i + 1) * c for i, c in enumerate(b[1:])]
-
-    for _ in range(max(2, n.bit_length() + 2)):
-        vq = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for _ in range(q):
-            vq = _smul(vq, v, n)
-        bs = eval_at_uv(b, v)
-        F = [x + y for x, y in zip(eval_at_uv(a0, v), _smul(vq, bs, n))]
-        if not any(F):
-            break
-        # F'(v) = u A0'(uv) + q v^(q-1) B(uv) + v^q u B'(uv)
-        vqm1 = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for _ in range(q - 1):
-            vqm1 = _smul(vqm1, v, n)
-        d1 = [Fraction(0)] + eval_at_uv(a0p, v)[:-1]
-        d2 = _smul([q * c for c in vqm1], bs, n)
-        d3 = _smul(vq, [Fraction(0)] + eval_at_uv(bp, v)[:-1], n)
-        Fp = [x + y + z for x, y, z in zip(d1, d2, d3)]
-        if Fp[0] == 0:
-            raise SeriesAmbiguity("degenerate linear coefficient in series solve")
-        corr = _smul(F, _sinv(Fp, n), n)
-        v = [vi - ci for vi, ci in zip(v, corr)]
-    else:
-        raise SeriesAmbiguity("series Newton iteration did not terminate")
-    return MomentSequence((Fraction(1),) + tuple(v[:K]))
+    c = _smul(a0, b, K)
+    d = [x - y for x, y in zip(_smul(_sderiv(a0), b, K), _smul(a0, _sderiv(b), K))]
+    return MomentSequence((Fraction(1),) + tuple(
+        _spower(c, d, Fraction(n, q), m1 ** n, n)[-1] / n for n in range(1, K + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +276,19 @@ def s_series_from_moments(m, K=None):
     """Taylor coefficients [s_0, ..., s_{K-1}] of S(w) at w = 0.
 
     Computed from moments through cumulants and the composition-inverse
-    relation between y S(y) and z R(z); requires m_1 != 0.
+    relation between y S(y) and z R(z); requires m_1 != 0 and moments to
+    order K.
     """
     vals = _moment_values(m)
-    if K is None:
-        K = len(vals) - 1
-    K = min(K, len(vals) - 1)
+    order = len(vals) - 1
+    K = order if K is None else K
+    if K > order:
+        raise DomainError(f"S-transform series to order {K} needs moments to order {K}; "
+                          f"got order {order}")
+    if K == 0:
+        return []
     kappa = cumulants_from_moments(vals[:K + 1])
-    if len(kappa) == 0 or kappa[1] == 0:
+    if kappa[1] == 0:
         raise DomainError("S-transform series needs a nonzero first moment")
     n = K + 1
     zr = [Fraction(0)] + list(kappa.values)
@@ -350,6 +313,12 @@ def boxtimes_moments(ma, mb, K):
     """Moments of the free multiplicative convolution of two measures,
     via the product of their S-transform coefficient series.  This is
     an algebraic route independent of any resolvent polynomial."""
+    orders = [len(_moment_values(m)) - 1 for m in (ma, mb)]
+    if not 0 <= K <= min(orders):
+        raise DomainError(f"boxtimes_moments to order {K} needs both inputs to that order; "
+                          f"got orders {orders[0]} and {orders[1]}")
+    if K == 0:
+        return MomentSequence((Fraction(1),))
     sa = s_series_from_moments(ma, K)
     sb = s_series_from_moments(mb, K)
     prod = _smul(sa, sb, K)

@@ -45,10 +45,11 @@ class TestMomentsFromResolvent:
         assert list(ms.values) == [Mo.fuss_catalan(s, n) for n in range(13)]
 
     def test_fractional_powers(self):
-        for s in (F(1, 2), F(1, 3)):
+        # K = 64 is the order the benchmark asks for
+        for s, K in ((F(1, 2), 8), (F(1, 3), 8), (F(5, 2), 64), (F(4, 3), 64)):
             poly = M.build_resolvent(M.free_power(M.mp(1), s))
-            ms = Mo.moments_from_resolvent(poly, 8)
-            assert list(ms.values) == [Mo.fuss_catalan(s, n) for n in range(9)]
+            ms = Mo.moments_from_resolvent(poly, K)
+            assert list(ms.values) == [Mo.fuss_catalan(s, n) for n in range(K + 1)]
 
     def test_arcsine(self):
         poly = M.build_resolvent(M.arcsine())
@@ -133,6 +134,18 @@ class TestCumulants:
             back = Mo.cumulants_from_moments(Mo.moments_from_cumulants(kap))
             assert list(back.values) == kap
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                    min_size=1, max_size=8))
+    def test_round_trips_on_random_sequences(self, tail):
+        # m_1 .. m_K drawn freely with m_1 != 0; both round trips are exact
+        if tail[0] == 0:
+            tail[0] = F(1)
+        m = [F(1)] + tail
+        K = len(tail)
+        assert list(Mo.moments_from_cumulants(Mo.cumulants_from_moments(m)).values) == m
+        assert list(Mo.moments_from_s_series(Mo.s_series_from_moments(m), K).values) == m
+
     def test_kappa1_equals_m1(self):
         m = [F(1), F(3, 2), F(3), F(7)]
         assert Mo.cumulants_from_moments(m)[1] == F(3, 2)
@@ -150,6 +163,15 @@ class TestSSeries:
         ms = Mo.moments_from_s_series(s, 5)
         back = Mo.s_series_from_moments(ms, 5)
         assert back == s
+
+    def test_boxtimes_order_beyond_the_inputs(self):
+        # Catalan moments of order 3 cannot give mp(1)^2 to order 6
+        with pytest.raises(DomainError, match="orders 3 and 5"):
+            Mo.boxtimes_moments(catalan_row(3), catalan_row(5), 6)
+        want = [Mo.fuss_catalan(2, n) for n in range(7)]
+        assert list(Mo.boxtimes_moments(catalan_row(6), catalan_row(6), 6).values) == want
+        assert Mo.boxtimes_moments(catalan_row(3), catalan_row(3), 0).values == (1,)
+        assert Mo.s_series_from_moments(catalan_row(3), 0) == []
 
 
 class TestMomentsFromDensity:
