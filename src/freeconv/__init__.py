@@ -58,10 +58,8 @@ from .measures import (
     free_power,
     identity,
     mp,
-    r_from_g,
     rational_factor,
     s_eval,
-    s_from_r,
 )
 from .moments import (
     CumulantSequence,

@@ -69,7 +69,9 @@ class _Scanner:
         self.pos = m.end()
         try:
             return Fraction(m.group(0))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {m.group(0)!r}", self.text, m.start()) from None
+        except ValueError as exc:
             raise ParseError(str(exc), self.text, m.start()) from exc
 
     def done(self):

@@ -26,7 +26,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "MarchenkoPastur",
@@ -42,8 +42,6 @@ __all__ = [
     "free_power",
     "build_resolvent",
     "ResolventPolynomial",
-    "r_from_g",
-    "s_from_r",
 ]
 
 
@@ -83,15 +81,15 @@ def _peval(coeffs, w):
 
 
 def _rational_coerce(x):
-    """Exact rational from int, Fraction, float or string like '1/3'."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+    """Exact rational from int, Fraction, float or string like '1/3';
+    DomainError for anything else, a zero denominator included."""
+    if isinstance(x, (Fraction, int, float, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {x!r}") from None
+        except (ValueError, OverflowError):
+            pass
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -413,74 +411,3 @@ def build_resolvent(spec):
         source=spec,
     )
 
-
-# ---------------------------------------------------------------------------
-# functional relations between the G, R and S transforms
-# ---------------------------------------------------------------------------
-
-def r_from_g(g, y, tol=1e-12, max_iter=200):
-    """Evaluate the R-transform at ``y`` from a Green's function callable.
-
-    Solves G(x) = y for x near the asymptote x ~ 1/y (damped Newton
-    step with the leading-order derivative -y^2 frozen), then returns
-    R(y) = x - 1/y.  Intended for small |y| where the inversion is
-    well conditioned.
-    """
-    y = complex(y)
-    if y == 0:
-        raise DomainError("r_from_g needs y != 0; R(0) is the first cumulant")
-    x = 1.0 / y
-    damp = 1.0
-    res = g(x) - y
-    # tolerance is relative to |y|: the residual scale of G near the solution
-    for _ in range(max_iter):
-        if abs(res) <= tol * abs(y):
-            return x - 1.0 / y
-        step = res / (y * y)
-        x_new = x + damp * step
-        res_new = g(x_new) - y
-        if abs(res_new) > abs(res):
-            damp *= 0.5
-            if damp < 1e-8:
-                break
-            continue
-        x, res = x_new, res_new
-        damp = min(1.0, damp * 2.0)
-    raise ConvergenceError(f"r_from_g did not converge at y={y} (residual {abs(res):.2e})")
-
-
-def s_from_r(r, y, tol=1e-12, max_iter=200):
-    """Evaluate the S-transform at ``y`` from an R-transform callable.
-
-    Uses the fact that z -> z S(z) and z -> z R(z) are composition
-    inverses of one another when the first cumulant is nonzero: solves
-    t R(t) = y by a damped fixed-point iteration seeded at t = y / k1
-    and returns S(y) = t / y.
-    """
-    try:
-        kappa1 = complex(r(0.0))
-    except (ZeroDivisionError, ValueError):
-        # probe near zero instead; 1e-4 keeps numerically computed
-        # R-transforms (e.g. from r_from_g) well conditioned
-        kappa1 = complex(r(1e-4))
-    if abs(kappa1) < 1e-13:
-        raise DomainError("s_from_r requires a nonzero first cumulant")
-    y = complex(y)
-    if y == 0:
-        return 1.0 / kappa1
-    t = y / kappa1
-    damp = 1.0
-    res = t * r(t) - y
-    for _ in range(max_iter):
-        if abs(res) <= tol * max(1.0, abs(y)):
-            return t / y
-        t_new = t - damp * res / kappa1
-        res_new = t_new * r(t_new) - y
-        if abs(res_new) > abs(res):
-            damp *= 0.5
-            if damp < 1e-8:
-                break
-            continue
-        t, res = t_new, res_new
-        damp = min(1.0, damp * 2.0)
-    raise ConvergenceError(f"s_from_r did not converge at y={y} (residual {abs(res):.2e})")

@@ -299,6 +299,8 @@ def s_series_from_moments(m, K=None):
 
 def moments_from_s_series(s, K):
     """Exact moments m_0..m_K from S-transform Taylor coefficients."""
+    if K == 0:
+        return MomentSequence((Fraction(1),))
     svals = [Fraction(v) for v in s]
     if not svals or svals[0] == 0:
         raise DomainError("S(0) must be nonzero")
@@ -317,8 +319,6 @@ def boxtimes_moments(ma, mb, K):
     if not 0 <= K <= min(orders):
         raise DomainError(f"boxtimes_moments to order {K} needs both inputs to that order; "
                           f"got orders {orders[0]} and {orders[1]}")
-    if K == 0:
-        return MomentSequence((Fraction(1),))
     sa = s_series_from_moments(ma, K)
     sb = s_series_from_moments(mb, K)
     prod = _smul(sa, sb, K)

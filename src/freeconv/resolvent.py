@@ -25,7 +25,7 @@ import copy
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,9 +303,9 @@ class _BranchEvaluator:
     sampling grid, the node batches of ``integral``) and a scattered
     one costs a short descent.  Near a support edge the default
     epsilon pair cannot resolve the limit (the Richardson residual
-    grows like (eps/d)^2 at distance d), so when the caller passes the
-    edge distance the pair is tightened to eps <= d/1000, quantized to
-    powers of ten to keep the tracker count bounded.
+    grows like (eps/d)^2 at distance d), so each query's distance d to
+    the nearer edge tightens the pair to eps <= d/1000 (the default
+    pair for d >= 1e-3), quantized to powers of ten to bound the trackers.
     """
 
     def __init__(self, poly, upper_edge):
@@ -329,31 +329,31 @@ class _BranchEvaluator:
             self._trackers[eps] = tr
         return tr
 
-    def _pair_for(self, edge_distance):
-        if edge_distance is None:
-            return DEFAULT_EPS_PAIR
+    def extrapolated_green(self, x, edge_distance):
+        """Richardson extrapolation of G(x + i eps) linearly in eps."""
         e1 = 10.0 ** min(math.floor(math.log10(max(edge_distance, 1e-13))) - 3,
                          round(math.log10(DEFAULT_EPS_PAIR[0])))
-        return (e1, 0.1 * e1)
-
-    def extrapolated_green(self, x, edge_distance=None):
-        """Richardson extrapolation of G(x + i eps) linearly in eps."""
-        e1, e2 = eps = self._pair_for(edge_distance)
+        e2 = 0.1 * e1
         g1, g2 = ((1.0 + self._tracker_at(e, x).move_to(complex(x, e))) / complex(x, e)
-                  for e in eps)
+                  for e in (e1, e2))
         return g2 + (g2 - g1) * (e2 / (e1 - e2))
 
 
-def _evaluator(poly):
+def _evaluator(poly, upper_edge):
     ev = poly._cache.get("evaluator")
     if ev is None:
-        # support_edges records the upper edge before its own interior check
-        upper_edge = poly._cache.get("upper_edge")
-        if upper_edge is None:
-            upper_edge = support_edges(poly)[1]
-        ev = _BranchEvaluator(poly, upper_edge)
-        poly._cache["evaluator"] = ev
+        ev = poly._cache["evaluator"] = _BranchEvaluator(poly, upper_edge)
     return ev
+
+
+def _inverted_density(ev, lo, hi, x):
+    """rho(x) = -Im G(x + i0)/pi inside (lo, hi), else 0; negative values
+    are clipped to 0, and logged below -1e-12."""
+    d = min(x - lo, hi - x)
+    rho = -ev.extrapolated_green(x, d).imag / math.pi if d > 0.0 else 0.0
+    if rho < -1e-12:
+        log.warning("density %.3e at x=%s clipped to zero", rho, x)
+    return rho if rho > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,14 @@ def support_edges(poly):
     is a possible interior edge: MultiIntervalError when the physical
     branch reaches that critical point there.  DomainError when the
     support is unbounded or has no interior.
+
+    Cached with the edges for ``density_source``: the atom 1 + w0
+    (Belinschi 2003) and the lower edge power, m/q at a hard edge (w0 of
+    multiplicity m != q, rho ~ x^(q/m - 1)), else 2 (square root).
     """
     cached = poly._cache.get("support")
     if cached is not None:
-        return cached
+        return cached[:2]
     q, _P = poly.clearing_power, np.polynomial.polynomial
     a0, aq = np.polynomial.polyutils.as_series([poly.a0, poly.aq])
     common = _polygcd(a0, aq)
@@ -455,17 +459,16 @@ def support_edges(poly):
     lo = 0.0 if mult != q else x_crit(below[-1]) if below else x_limit(-1)
     if not lo < hi < math.inf:
         raise DomainError(f"no bounded continuous spectrum: the edges are {lo} and {hi}")
-    poly._cache["upper_edge"] = hi  # sets the trackers' seed height, also below
     for wc in crit:
         xc = x_crit(wc)
         if wc in above[:1] + below[-1:] or not lo < xc < hi:
             continue
-        w = xc * _evaluator(poly).extrapolated_green(xc) - 1.0
+        w = xc * _evaluator(poly, hi).extrapolated_green(xc, min(xc - lo, hi - xc)) - 1.0
         if abs(w - wc) <= 1e-2 * max(1.0, abs(wc)):
             raise MultiIntervalError(
                 f"the physical branch reaches the critical point w={wc:.6g} at "
                 f"x={xc:.6g}, inside ({lo:.6g}, {hi:.6g}): not a single interval")
-    poly._cache["support"] = (lo, hi)
+    poly._cache["support"] = (lo, hi, 1.0 + w0, mult / q if mult != q else 2.0)
     return lo, hi
 
 
@@ -477,28 +480,17 @@ def density(poly, x, edge_margin=0.01):
     """Spectral density at real x by Stieltjes inversion.
 
     Evaluates Im G at x + i*eps for the two epsilon levels and
-    extrapolates linearly to eps = 0.  Returns 0 outside the support.
+    extrapolates linearly to eps = 0, as ``density_source`` does.
+    Returns 0 outside the support.
     Emits EdgeWarning when x falls within ``edge_margin`` of a support
     edge (fraction of the support width); the value is still returned.
     """
     lo, hi = support_edges(poly)
-    if x <= lo or x >= hi:
-        return 0.0
     width = hi - lo
-    if x < lo + edge_margin * width or x > hi - edge_margin * width:
+    if lo < x < lo + edge_margin * width or hi - edge_margin * width < x < hi:
         warnings.warn(f"density at x={x} is within the {edge_margin:.0%} edge margin",
                       EdgeWarning, stacklevel=2)
-    return _density_inner(poly, x)
-
-
-def _density_inner(poly, x):
-    ev = _evaluator(poly)
-    rho = -ev.extrapolated_green(x).imag / math.pi
-    if rho < 0.0:
-        if rho < -1e-12:
-            log.warning("density %.3e at x=%s clipped to zero", rho, x)
-        rho = 0.0
-    return rho
+    return _inverted_density(_evaluator(poly, hi), lo, hi, x)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +639,8 @@ class DensityCurve(DensitySource):
 
     ``points`` is a tuple of (x, rho) pairs on a grid clustered toward
     the support edges; ``atom_at_zero`` is the weight of a point mass
-    at the origin detected as missing continuous mass.
+    at the origin, for a continued density the exact 1 + w0 of
+    ``support_edges``.
     """
 
     points: tuple
@@ -701,33 +694,25 @@ def _edge_floors(poly, width):
 def density_source(poly):
     """The continued density of ``poly`` as a density source.
 
-    Support from ``support_edges``, floors from ``_edge_floors``.  Each
-    edge power is 1/(1 - alpha) for the exponent alpha that ``_edge_fit``
-    measures at the floor, rounded and clipped to [2, 4] (2 where
-    nothing can be fitted).  The inversion tightens epsilon with the
-    distance to the nearer edge.  Continuous mass missing from one
-    beyond the 5e-3 detection threshold is the atom at zero.
+    Support, atom at zero and lower edge power from ``support_edges``,
+    upper edge power 2, floors from ``_edge_floors``, the inversion of
+    ``density``.  QuadratureError when the quadrature of the continuous
+    mass and the atom miss one by more than 1e-5, the bound of
+    ``curve_integral`` (where the expression is no probability measure).
     """
     lo, hi = support_edges(poly)
-    ev = _evaluator(poly)
+    atom, p_lo = poly._cache["support"][2:]
+    ev = _evaluator(poly, hi)
 
     def rho(x):
-        x = float(x)
-        d = min(x - lo, hi - x)
-        if d <= 0.0:
-            return 0.0
-        r = -ev.extrapolated_green(x, d).imag / math.pi
-        return r if r > 0.0 else 0.0
+        return _inverted_density(ev, lo, hi, float(x))
 
-    floors = _edge_floors(poly, hi - lo)
-    powers = []
-    for edge, f, s in zip((lo, hi), floors, (1.0, -1.0)):
-        fit = _edge_fit(rho, edge, f, s)
-        powers.append(2.0 if fit is None else float(min(max(round(1.0 / (1.0 - fit[1])), 2), 4)))
-    source = DensitySource((lo, hi), 0.0, rho, tuple(powers), floors)
-    atom = 1.0 - curve_integral(source, 0)
-    atom = 0.0 if atom < 5e-3 else min(atom, 1.0 - 1e-12)
-    return replace(source, atom=atom)
+    source = DensitySource((lo, hi), atom, rho, (p_lo, 2.0), _edge_floors(poly, hi - lo))
+    mass = curve_integral(source, 0)
+    if abs(atom + mass - 1.0) > 1e-5:
+        raise QuadratureError(f"continuous mass {mass:.9g} and atom {atom:.9g} at zero "
+                              f"do not add up to one")
+    return source
 
 
 def curve_integral(curve, k=0):
@@ -765,7 +750,7 @@ def density_curve(poly, n_points=512, edge_margin=0.01):
     """The ``density_source`` of ``poly``, sampled on a grid clustered
     toward the edges that leaves ``edge_margin`` of the support width
     free at each edge."""
-    _check_grid(n_points, edge_margin)  # before the source, whose atom is a quadrature
+    _check_grid(n_points, edge_margin)  # before the source, whose mass check is a quadrature
     return _sampled(density_source(poly), n_points, edge_margin)
 
 
@@ -797,5 +782,4 @@ def potential_derivative(poly, x):
     lo, hi = support_edges(poly)
     if not (lo < x < hi):
         raise DomainError(f"x={x} is outside the open support ({lo}, {hi})")
-    ev = _evaluator(poly)
-    return 2.0 * ev.extrapolated_green(x).real
+    return 2.0 * _evaluator(poly, hi).extrapolated_green(x, min(x - lo, hi - x)).real

@@ -141,14 +141,14 @@ def test_criterion_5_identities():
     poly = M.build_resolvent(M.arcsine() * M.mp(F(1, 2)) * M.mp(1))
     lo, hi = R.support_edges(poly)
     xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 200)
-    err_b2 = max(abs(R._density_inner(poly, float(x)) - fam_fc2.density(float(x)))
+    err_b2 = max(abs(R.density(poly, float(x)) - fam_fc2.density(float(x)))
                  for x in xs)
 
     fam_mp = C.family("mp(1)")
     poly2 = M.build_resolvent(M.arcsine() * M.mp(F(1, 2)))
     lo2, hi2 = R.support_edges(poly2)
     xs2 = np.linspace(lo2 + 0.01 * (hi2 - lo2), hi2 - 0.01 * (hi2 - lo2), 200)
-    err_gb = max(abs(R._density_inner(poly2, float(x)) - fam_mp.density(float(x)))
+    err_gb = max(abs(R.density(poly2, float(x)) - fam_mp.density(float(x)))
                  for x in xs2)
     report(5, err_b2 < 1e-8 and err_gb < 1e-8,
            f"2-Bures at c=1/2 equals FC2 to {err_b2:.1e}; "

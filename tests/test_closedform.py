@@ -127,7 +127,7 @@ class TestAgainstResolvent:
         xs = np.linspace(lo + 0.01 * width, hi - 0.01 * width, 60)
         peak = max(fam.density(float(x)) for x in xs)
         for x in xs:
-            got = R._density_inner(poly, float(x))
+            got = R.density(poly, float(x))
             assert abs(got - fam.density(float(x))) < 1e-6 * peak
 
     def test_bures_half_reduces_to_mp(self):
@@ -137,7 +137,7 @@ class TestAgainstResolvent:
         lo, hi = R.support_edges(poly)
         assert abs(lo) < 1e-8 and abs(hi - 4.0) < 1e-8
         for x in np.linspace(0.05, 3.95, 40):
-            assert abs(R._density_inner(poly, float(x)) - fam.density(float(x))) < 1e-8
+            assert abs(R.density(poly, float(x)) - fam.density(float(x))) < 1e-8
 
     def test_two_bures_half_is_fc2(self):
         fam = C.family("fc2")
@@ -147,4 +147,4 @@ class TestAgainstResolvent:
         lo, hi = R.support_edges(poly)
         assert abs(hi - 27 / 4) < 1e-8
         for x in np.linspace(0.07, 6.68, 40):
-            assert abs(R._density_inner(poly, float(x)) - fam.density(float(x))) < 1e-8
+            assert abs(R.density(poly, float(x)) - fam.density(float(x))) < 1e-8

@@ -168,6 +168,29 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == "error: Marchenko-Pastur rectangularity must be > 0\n"
 
+    @pytest.mark.parametrize("measure, err_tail", [
+        ("mp(1/0)", "error: zero denominator in '1/0'\n"),
+        ("mp(1)^(1/0)", "\n       ^\nzero denominator in '1/0'\n"),
+        ("rat(1;0/0)", "\n      ^\nzero denominator in '0/0'\n"),
+        ("mp(1.5/2)", "error: cannot interpret '1.5/2' as an exact rational\n"),
+    ])
+    def test_bad_rational_is_a_typed_error(self, measure, err_tail, capsys):
+        code, out, err = self.run(["support", "--measure", measure], capsys)
+        assert code == 1 and out == ""
+        assert err.endswith(err_tail)
+
+    def test_atom_just_above_c_one(self, capsys):
+        code, out, _ = self.run(
+            ["support", "--measure", "as*mp(201/200)", "--format", "json"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["atom_at_zero"] - 1 / 201) <= 1e-12
+
+    @pytest.mark.parametrize("measure", ["mp(2)^(1/2)", "mp(3/2)^(1/3)"])
+    def test_mass_defect_is_a_one_line_error(self, measure, capsys):
+        code, out, err = self.run(["support", "--measure", measure], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: continuous mass") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"],
         ["density", "--measure", f"mp(1)*rat({10 ** 320 + 1};1)"],

@@ -1,5 +1,3 @@
-import cmath
-import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -160,51 +158,6 @@ class TestBuildResolvent:
     def test_identity_measure_linear(self):
         poly = M.build_resolvent(M.identity())
         assert frac_rows(poly) == [[1, 0], [1, -1]]
-
-
-class TestFunctionalRelations:
-    def test_r_from_g_point_masses(self):
-        assert abs(M.r_from_g(lambda z: 1 / z, 0.2)) < 1e-10
-        assert abs(M.r_from_g(lambda z: 1 / (z - 1), 0.2) - 1) < 1e-10
-
-    def test_r_from_g_marchenko_pastur(self):
-        def g_mp(z):
-            return (z - cmath.sqrt(z * z - 4 * z)) / (2 * z)
-
-        assert abs(M.r_from_g(g_mp, 0.1) - 1 / 0.9) < 1e-9
-
-    def test_s_from_r_constant(self):
-        assert abs(M.s_from_r(lambda z: 1.0, 0.3) - 1.0) < 1e-10
-
-    def test_s_from_r_marchenko_pastur(self):
-        got = M.s_from_r(lambda z: 1 / (1 - z), 0.2)
-        assert abs(got - 1 / 1.2) < 1e-9
-
-    def test_s_from_r_arcsine(self):
-        def r_as(z):
-            if z == 0:
-                return 1.0
-            return (z - 1 + cmath.sqrt(z * z + 1)) / z
-
-        got = M.s_from_r(r_as, 0.5)
-        assert abs(got - 2.5 / 3) < 1e-9
-
-    def test_s_from_r_zero_mean_rejected(self):
-        with pytest.raises(DomainError):
-            M.s_from_r(lambda z: 0.0 * z, 0.3)
-
-    def test_round_trip_through_green(self):
-        # s_from_r(r_from_g(G)) recovers the S-transform at small arguments
-        def g_mp(z):
-            return (z - cmath.sqrt(z * z - 4 * z)) / (2 * z)
-
-        def g_as(z):
-            return 1 / cmath.sqrt(z * (z - 2))
-
-        for spec, g in ((M.mp(1), g_mp), (M.arcsine(), g_as)):
-            for y in (0.05, 0.1, 0.15):
-                s = M.s_from_r(lambda t: M.r_from_g(g, t), y)
-                assert abs(s - M.s_eval(spec, y)) < 1e-8
 
 
 class TestLabels:

@@ -173,6 +173,10 @@ class TestSSeries:
         assert Mo.boxtimes_moments(catalan_row(3), catalan_row(3), 0).values == (1,)
         assert Mo.s_series_from_moments(catalan_row(3), 0) == []
 
+    @pytest.mark.parametrize("s", [[1], []])
+    def test_order_zero_from_s_series(self, s):
+        assert Mo.moments_from_s_series(s, 0).values == (1,)
+
 
 class TestMomentsFromDensity:
     def test_marchenko_pastur(self):

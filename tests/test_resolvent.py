@@ -13,7 +13,8 @@ from freeconv import measures as M
 from freeconv import moments as Mo
 from freeconv import resolvent as R
 from freeconv.errors import (BranchAmbiguity, DomainError, EdgeWarning, FreeconvError,
-                             MultiIntervalError, NoConvergence, SeriesAmbiguity)
+                             MultiIntervalError, NoConvergence, QuadratureError,
+                             SeriesAmbiguity)
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +129,9 @@ class TestBranchTracking:
         # the Herglotz test accepts the physical root only when roots are
         # accurate to the residual floor, not to eigensolver accuracy
         poly = M.build_resolvent(M.boxtimes(M.mp(F(3, 5)), M.mp(F(3, 4))))
+        hi = R.support_edges(poly)[1]
         for x in (5.25e-11, 1e-9):
-            g = R._evaluator(poly).extrapolated_green(x, x)
+            g = R._evaluator(poly, hi).extrapolated_green(x, x)
             assert abs(g.imag) < 1e-8
 
     @pytest.mark.parametrize("expr", ["mp(1)^2", "as*mp(1)^2", "mp(1)^(1/3)",
@@ -385,6 +387,40 @@ class TestDensitySource:
         assert abs(source.atom - float(atom)) <= 1e-9
 
 
+class TestExactEdges:
+    @pytest.mark.parametrize("expr", ["mp(201/200)", "as*mp(201/200)"])
+    def test_atom_is_one_plus_w0(self, expr):
+        # mu({0}) = 1 - 1/c = 1/201; the missing-mass atom of a quadrature
+        # read 0 for as*mp(201/200)
+        source = R.density_source(M.build_resolvent(grammar.parse_measure(expr)))
+        assert abs(source.atom - 1 / 201) <= 1e-12
+
+    @pytest.mark.parametrize("expr", ["mp(2)^(1/2)", "mp(3/2)^(1/3)"])
+    def test_mass_and_atom_that_miss_one_raise(self, expr):
+        # continuous mass 3/4 and 8/9 against the atoms 1/2 and 1/3
+        with pytest.raises(QuadratureError, match="do not add up to one"):
+            R.density_source(M.build_resolvent(grammar.parse_measure(expr)))
+
+    @pytest.mark.parametrize("expr, powers", [
+        ("mp(1)^2", (3.0, 2.0)),
+        ("as*mp(1)^2", (4.0, 2.0)),
+        ("mp(1)^(1/2)", (3 / 2, 2.0)),
+        ("mp(1)^(1/3)", (4 / 3, 2.0)),
+        ("as*mp(2)", (2.0, 2.0)),
+    ])
+    def test_lower_power_is_m_over_q(self, expr, powers):
+        source = R.density_source(M.build_resolvent(grammar.parse_measure(expr)))
+        assert source.edge_powers == powers
+
+    @pytest.mark.parametrize("frac", [0.3, 1e-5])
+    def test_density_is_the_source_inversion(self, frac):
+        poly = M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2)))
+        source = R.density_source(poly)
+        lo, hi = source.support
+        for x in (lo + frac * (hi - lo), hi - frac * (hi - lo)):
+            assert R.density(poly, x, edge_margin=0.0) == source.density(x) > 0.0
+
+
 class TestPotentialDerivative:
     def test_mp_at_two(self, mp_poly):
         assert abs(R.potential_derivative(mp_poly, 2.0) - 1.0) < 1e-9
@@ -401,8 +437,8 @@ class TestPotentialDerivative:
 
     def test_conjugate_pair_symmetry(self, mp_poly):
         # 2 Re G equals G(x + i eps) + G(x - i eps) by reflection
-        ev = R._evaluator(mp_poly)
-        g = ev.extrapolated_green(2.5)
+        lo, hi = R.support_edges(mp_poly)
+        g = R._evaluator(mp_poly, hi).extrapolated_green(2.5, min(2.5 - lo, hi - 2.5))
         assert abs(R.potential_derivative(mp_poly, 2.5)
                    - (g + g.conjugate()).real) < 1e-12
 
