@@ -226,13 +226,12 @@ def cmd_potential(args):
     poly = measures.build_resolvent(spec)
     lo, hi = resolvent.support_edges(poly)
     if args.x is not None:
-        xs = [args.x]
+        xs = np.array([args.x])
     else:
         width = hi - lo
         xs = np.linspace(lo + 0.02 * width, hi - 0.02 * width, args.points)
-    lines = ["x,vprime"]
-    for x in xs:
-        lines.append(f"{_fmt(x)},{_fmt(resolvent.potential_derivative(poly, float(x)))}")
+    vprime = resolvent.potential_derivative(poly, xs)
+    lines = ["x,vprime"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vprime)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, QuadratureError
 from . import measures
 from .resolvent import integral, tabulated_cdf
@@ -53,11 +55,12 @@ class Family:
     edge_floors = (0.0, 0.0)
 
     def density(self, x):
-        x = float(x)
+        """The density at a scalar x, or over a 1-D array of x; 0 off the
+        open support."""
         lo, hi = self.support
-        if x <= lo or x >= hi:
-            return 0.0
-        return self._density(x)
+        xs = np.asarray(x, dtype=float)
+        rho = [0.0 if v <= lo or v >= hi else self._density(v) for v in xs.ravel().tolist()]
+        return np.array(rho) if xs.ndim else rho[0]
 
 
 # ---------------------------------------------------------------------------

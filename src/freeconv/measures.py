@@ -359,10 +359,12 @@ class ResolventPolynomial:
 
     def wcoeffs_at(self, z):
         """Coefficients of the univariate polynomial in w at fixed z,
-        ascending, as a complex array (not finite where they overflow)."""
+        ascending, as a complex array (not finite where they overflow);
+        one row per z for a 1-D numpy array of z."""
         f0, fq = self.float_columns
+        z = z[:, None] if isinstance(z, np.ndarray) else complex(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            return f0 + np.power(complex(z), self.clearing_power) * fq
+            return f0 + np.power(z, self.clearing_power) * fq
 
     def coefficient_scale_at(self, z):
         zp = max(1.0, abs(complex(z))) ** self.clearing_power

@@ -11,12 +11,15 @@ and performs the Stieltjes inversion
 
     rho(x) = -(1/pi) * lim_{eps->0} Im G(x + i eps),    G = (1 + w)/z
 
-with a two-epsilon Richardson extrapolation.  Support edges are the
-critical values of the explicit inverse x^q = h(w) of P(w, x) = 0,
-with every root identified in exact arithmetic.  Every mass, moment
-and CDF of a density, continued or closed-form, comes from one
-quadrature (``integral``) and one CDF table (``tabulated_cdf``) over a
-``DensitySource``.
+with a two-epsilon Richardson extrapolation.  Where the x values are
+known in advance (a sampling grid, a CDF table, a potential grid) each
+epsilon level solves the root sets of all its points in one stacked
+eigenvalue call, and the continuation steps through them under its
+one acceptance test.  Support edges are the critical values of the
+explicit inverse x^q = h(w) of P(w, x) = 0, with every root identified
+in exact arithmetic.  Every mass, moment and CDF of a density,
+continued or closed-form, comes from one quadrature (``integral``) and
+one CDF table (``tabulated_cdf``) over a ``DensitySource``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,26 @@ def _horner_pair(coeffs, x):
     return p, dp
 
 
+def _polished(coeffs, eig, scale, z):
+    """The companion eigenvalues ``eig`` of ``coeffs``, each polished by
+    one Newton step; NoConvergence when a residual is too large."""
+    n = len(coeffs) - 1
+    clist = coeffs.tolist()
+    roots = []
+    for w in eig:
+        p, dp = _horner_pair(clist, w)
+        if dp != 0:
+            # one Newton step, kept where it lowers the residual
+            w1 = w - p / dp
+            p1 = _horner_pair(clist, w1)[0]
+            if abs(p1) <= abs(p):
+                w, p = w1, p1
+        if abs(p) > 1e-12 * scale * max(1.0, abs(w)) ** n:
+            raise NoConvergence(f"root residual {abs(p):.2e} exceeds tolerance at z={z}")
+        roots.append(w)
+    return roots
+
+
 def roots_at(poly, z, return_info=False):
     """All complex roots of P(., z), with residuals below
     1e-12 times the coefficient magnitude scale.
@@ -84,7 +107,14 @@ def roots_at(poly, z, return_info=False):
     DegreeDropError is raised only if every coefficient vanishes,
     NoConvergence when the coefficients at z are not finite or a
     residual is too large.
+
+    For a 1-D numpy array of z the companion matrices are stacked into one
+    eigenvalue call, and row k is the list ``roots_at(poly, z[k])``
+    returns, or None where that call would drop the degree or raise:
+    the caller makes the scalar call there.
     """
+    if isinstance(z, np.ndarray):
+        return _root_rows(poly, z.astype(complex))
     coeffs = poly.wcoeffs_at(z)
     if not np.isfinite(coeffs).all():
         raise NoConvergence(f"coefficients are not finite at z={z}")
@@ -104,22 +134,37 @@ def roots_at(poly, z, return_info=False):
         eig = np.linalg.eigvals(companion).tolist()
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues failed at z={z}: {exc}") from exc
-    clist = coeffs.tolist()
-    roots = []
-    for w in eig:
-        p, dp = _horner_pair(clist, w)
-        if dp != 0:
-            # one Newton step, kept where it lowers the residual
-            w1 = w - p / dp
-            p1 = _horner_pair(clist, w1)[0]
-            if abs(p1) <= abs(p):
-                w, p = w1, p1
-        if abs(p) > 1e-12 * scale * max(1.0, abs(w)) ** n:
-            raise NoConvergence(f"root residual {abs(p):.2e} exceeds tolerance at z={z}")
-        roots.append(w)
+    roots = _polished(coeffs, eig, scale, z)
     if return_info:
         return roots, {"degree_dropped": dropped}
     return roots
+
+
+def _root_rows(poly, z):
+    """The rows of ``roots_at`` over the 1-D array ``z``."""
+    coeffs = poly.wcoeffs_at(z)
+    mags = np.abs(coeffs)
+    scale = mags.max(axis=1)
+    rows = [None] * len(z)
+    # finite coefficients and an intact degree; the scalar call decides the rest
+    full = np.flatnonzero(np.isfinite(coeffs).all(axis=1) & (mags[:, -1] > 1e-13 * scale))
+    if not full.size:
+        return rows
+    # the scalar path builds its one matrix with fewer numpy calls
+    n = coeffs.shape[1] - 1
+    companions = np.zeros((len(full), n, n), dtype=complex)
+    companions[:, 0] = -coeffs[full, -2::-1] / coeffs[full, -1:]
+    companions[:, range(1, n), range(n - 1)] = 1.0
+    try:
+        eigs = np.linalg.eigvals(companions).tolist()
+    except np.linalg.LinAlgError:
+        return rows
+    for k, eig in zip(full.tolist(), eigs):
+        try:
+            rows[k] = _polished(coeffs[k], eig, scale[k], z[k])
+        except NoConvergence:
+            pass
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +221,7 @@ class BranchTracker:
                 f"two roots near the asymptotic seed m1/z at z={z0}")
         self.z = z0
         self.w = w0
+        self.slope = self._slope(w0, z0)
 
     # -- internals ---------------------------------------------------------
 
@@ -206,7 +252,7 @@ class BranchTracker:
         pz = _horner_pair((q * np.power(z, q - 1) * poly.float_columns[1]).tolist(), w)[0]
         return -pz / pw
 
-    def move_to(self, z_target):
+    def move_to(self, z_target, roots=None):
         """Continue the physical branch to ``z_target`` and return w there.
 
         Tangent-predictor stepping in absolute z increments: each step
@@ -219,14 +265,15 @@ class BranchTracker:
         edge without exchanging sheets.  Once the remaining distance
         fits in one step the target is assigned exactly, so arbitrarily
         small final offsets (x + i*1e-12) are reached without rounding
-        jitter from a long journey.
+        jitter from a long journey.  ``roots``, the root set at
+        ``z_target`` if the caller has it, serves the first step when
+        that step reaches the target; every other step solves its own.
         """
         z_target = complex(z_target)
         z_cur = self.z
         if z_target == z_cur:
             return self.w
-        w = self.w
-        slope = self._slope(w, z_cur)
+        w, slope = self.w, self.slope
         h = abs(z_target - z_cur)
         while z_cur != z_target:
             remaining = z_target - z_cur
@@ -241,10 +288,11 @@ class BranchTracker:
                 dz = remaining * (h / dist)
                 z_new = z_cur + dz
             w_pred = w + slope * dz if slope is not None else w
-            try:
-                roots = roots_at(self.poly, z_new)
-            except (NoConvergence, DegreeDropError):
-                roots = []
+            if roots is None or z_new != z_target:
+                try:
+                    roots = roots_at(self.poly, z_new)
+                except (NoConvergence, DegreeDropError):
+                    roots = []
             ok = bool(roots)
             if ok:
                 by_dist = sorted(roots, key=lambda r: abs(r - w_pred))
@@ -270,8 +318,8 @@ class BranchTracker:
                 if h < floor:
                     raise BranchAmbiguity(
                         f"branches could not be separated near z={z_new}")
-        self.z = z_target
-        self.w = w
+            roots = None  # a prefetched set serves the first step only
+        self.z, self.w, self.slope = z_target, w, slope
         return w
 
 
@@ -301,7 +349,11 @@ class _BranchEvaluator:
     other root near m1/z beyond r |m1/z|, where the tracker checks that
     the physical root is alone.  So queries are cheap in ascending x (a
     sampling grid, the node batches of ``integral``) and a scattered
-    one costs a short descent.  Near a support edge the default
+    one costs a short descent.  An array of queries is visited in its
+    order with each level's root sets solved up front in one stacked
+    ``roots_at`` call: a step that reaches its point in one move takes
+    the prefetched set, so a grid costs one solve per level plus the
+    steps of its descents.  Near a support edge the default
     epsilon pair cannot resolve the limit (the Richardson residual
     grows like (eps/d)^2 at distance d), so each query's distance d to
     the nearer edge tightens the pair to eps <= d/1000 (the default
@@ -313,7 +365,9 @@ class _BranchEvaluator:
         self._height = max(50.0, upper_edge * (1.0 + 1.5 / _seed_radius(poly.clearing_power)))
         self._trackers = {}
 
-    def _tracker_at(self, eps, x):
+    def _w_at(self, eps, x, roots=None):
+        """w at x + i eps on the tracker of level eps, given ``roots``,
+        the root set there, if the caller has it."""
         tr = self._trackers.get(eps)
         # long horizontal moves may cross support edges where the sheets
         # braid; a fresh vertical descent is both safer and cheaper there
@@ -325,18 +379,40 @@ class _BranchEvaluator:
                 tr = copy.copy(min(above, key=lambda t: abs(t.z.imag - eps)))
             else:
                 tr = BranchTracker(self.poly, seed=complex(x, self._height))
-            tr.move_to(complex(x, eps))
-            self._trackers[eps] = tr
-        return tr
+        w = tr.move_to(complex(x, eps), roots)
+        self._trackers[eps] = tr
+        return w
 
     def extrapolated_green(self, x, edge_distance):
-        """Richardson extrapolation of G(x + i eps) linearly in eps."""
-        e1 = 10.0 ** min(math.floor(math.log10(max(edge_distance, 1e-13))) - 3,
-                         round(math.log10(DEFAULT_EPS_PAIR[0])))
-        e2 = 0.1 * e1
-        g1, g2 = ((1.0 + self._tracker_at(e, x).move_to(complex(x, e))) / complex(x, e)
-                  for e in (e1, e2))
-        return g2 + (g2 - g1) * (e2 / (e1 - e2))
+        """Richardson extrapolation of G(x + i eps) linearly in eps.
+
+        ``x`` and ``edge_distance`` are scalars, or 1-D arrays whose
+        points are visited in order; for more than one point every eps
+        level first solves the root sets of all its points in one
+        stacked ``roots_at`` call, which each tracker step that reaches
+        its point takes.
+        """
+        xs = np.atleast_1d(x).tolist()
+        pairs = [_eps_pair(d) for d in np.atleast_1d(edge_distance).tolist()]
+        found = {}
+        if len(xs) > 1:
+            for eps in dict.fromkeys(e for pair in pairs for e in pair):
+                zs = [complex(xi, eps) for xi, pair in zip(xs, pairs) if eps in pair]
+                found.update(zip(zs, roots_at(self.poly, np.array(zs))))
+        out = []
+        for xi, (e1, e2) in zip(xs, pairs):
+            g1, g2 = ((1.0 + self._w_at(e, xi, found.get(complex(xi, e)))) / complex(xi, e)
+                      for e in (e1, e2))
+            out.append(g2 + (g2 - g1) * (e2 / (e1 - e2)))
+        return np.array(out) if np.ndim(x) else out[0]
+
+
+def _eps_pair(edge_distance):
+    """The two eps levels at distance ``edge_distance`` from the nearer
+    edge: eps <= d/1000 in powers of ten, at most ``DEFAULT_EPS_PAIR``."""
+    e1 = 10.0 ** min(math.floor(math.log10(max(edge_distance, 1e-13))) - 3,
+                     round(math.log10(DEFAULT_EPS_PAIR[0])))
+    return e1, 0.1 * e1
 
 
 def _evaluator(poly, upper_edge):
@@ -347,13 +423,21 @@ def _evaluator(poly, upper_edge):
 
 
 def _inverted_density(ev, lo, hi, x):
-    """rho(x) = -Im G(x + i0)/pi inside (lo, hi), else 0; negative values
-    are clipped to 0, and logged below -1e-12."""
-    d = min(x - lo, hi - x)
-    rho = -ev.extrapolated_green(x, d).imag / math.pi if d > 0.0 else 0.0
-    if rho < -1e-12:
-        log.warning("density %.3e at x=%s clipped to zero", rho, x)
-    return rho if rho > 0.0 else 0.0
+    """rho(x) = -Im G(x + i0)/pi inside (lo, hi), else 0, at a scalar x or
+    over a 1-D array of x visited in order; negative values are clipped
+    to 0, and logged below -1e-12."""
+    xs = np.atleast_1d(x).tolist()
+    ds = [min(v - lo, hi - v) for v in xs]
+    inside = [k for k, d in enumerate(ds) if d > 0.0]
+    g = iter(ev.extrapolated_green(np.array([xs[k] for k in inside]),
+                                   np.array([ds[k] for k in inside])).tolist())
+    rho = []
+    for v, d in zip(xs, ds):
+        r = -next(g).imag / math.pi if d > 0.0 else 0.0
+        if r < -1e-12:
+            log.warning("density %.3e at x=%s clipped to zero", r, v)
+        rho.append(r if r > 0.0 else 0.0)
+    return np.array(rho) if np.ndim(x) else rho[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +591,13 @@ class DensitySource:
     ``closedform.Family`` has the same attributes.
 
     ``density(x)`` is the continuous density on the open ``support``
-    (lo, hi), ``atom`` the weight of a point mass at zero.  With
-    ``edge_powers`` (p_lo, p_hi), x = lo + t^p_lo and x = hi - t^p_hi
-    turn an edge behaviour d^(-alpha) in the distance d to the edge
-    into a bounded integrand in t once p >= 1/(1 - alpha).  Strips of
-    widths ``edge_floors`` at the edges are closed by a power-law fit.
+    (lo, hi), at a scalar x or over a 1-D array of x (a grid or a CDF
+    table, in the order of a walk), ``atom`` the weight of a point mass
+    at zero.  With ``edge_powers`` (p_lo, p_hi), x = lo + t^p_lo and
+    x = hi - t^p_hi turn an edge behaviour d^(-alpha) in the distance d
+    to the edge into a bounded integrand in t once p >= 1/(1 - alpha).
+    Strips of widths ``edge_floors`` at the edges are closed by a
+    power-law fit.
     """
 
     support: tuple
@@ -607,10 +693,11 @@ def tabulated_cdf(source):
     for edge, p, f, s in zip(source.support, source.edge_powers, source.edge_floors,
                              (1.0, -1.0)):
         t = np.linspace(f ** (1.0 / p), abs(mid - edge) ** (1.0 / p), _CDF_NODES // 2)
-        g = np.array([source.density(edge + s * ti ** p) * p * ti ** (p - 1.0)
-                      if ti > 0.0 else 0.0 for ti in t.tolist()])
+        inner = (t[1:] if t[0] == 0.0 else t).tolist()
+        rho = source.density(np.array([edge + s * ti ** p for ti in inner])).tolist()
+        g = np.array([r * p * ti ** (p - 1.0) for r, ti in zip(rho, inner)])
         if t[0] == 0.0:
-            g[0] = g[1]
+            g = np.concatenate([g[:1], g])
         head = _edge_head(source.density, edge, f, s, 0) if f > 0.0 else 0.0
         cum = head + np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
         tables.append((np.concatenate([[edge], edge + s * t ** p]),
@@ -705,7 +792,7 @@ def density_source(poly):
     ev = _evaluator(poly, hi)
 
     def rho(x):
-        return _inverted_density(ev, lo, hi, float(x))
+        return _inverted_density(ev, lo, hi, x)
 
     source = DensitySource((lo, hi), atom, rho, (p_lo, 2.0), _edge_floors(poly, hi - lo))
     mass = curve_integral(source, 0)
@@ -741,7 +828,7 @@ def _sampled(source, n_points, edge_margin):
     b = hi - edge_margin * (hi - lo)
     theta = (np.arange(n_points) + 0.5) * math.pi / n_points
     grid = a + (b - a) * 0.5 * (1.0 - np.cos(theta))
-    points = tuple((float(x), float(source.density(float(x)))) for x in grid)
+    points = tuple(zip(grid.tolist(), source.density(grid).tolist()))
     return DensityCurve(source.support, source.atom, source.density, source.edge_powers,
                         source.edge_floors, points)
 
@@ -756,9 +843,10 @@ def density_curve(poly, n_points=512, edge_margin=0.01):
 
 def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
                         edge_margin=0.01, edge_powers=(2.0, 2.0)):
-    """Assemble a DensityCurve from a pointwise density callable (for
-    measures with a closed form) on the same cosine-clustered grid used
-    by ``density_curve``."""
+    """Assemble a DensityCurve from a density callable (for measures
+    with a closed form, such as ``Family.density``; it takes a scalar or
+    a 1-D array) on the same cosine-clustered grid used by
+    ``density_curve``."""
     _check_grid(n_points, edge_margin)
     lo, hi = support
     source = DensitySource((float(lo), float(hi)), float(atom), density_fn,
@@ -774,12 +862,16 @@ def cdf_interpolator(poly):
 
 
 def potential_derivative(poly, x):
-    """V'(x) = 2 Re G(x + i0+) for x strictly inside the support.
+    """V'(x) = 2 Re G(x + i0+) for x strictly inside the support, at a
+    scalar x or over a 1-D array of x (one stacked solve per eps level).
 
     By conjugate symmetry of the physical branch across the cut this
     equals the limit of G(x + i eps) + G(x - i eps).
     """
     lo, hi = support_edges(poly)
-    if not (lo < x < hi):
-        raise DomainError(f"x={x} is outside the open support ({lo}, {hi})")
-    return 2.0 * _evaluator(poly, hi).extrapolated_green(x, min(x - lo, hi - x)).real
+    xs = np.atleast_1d(x).tolist()
+    for v in xs:
+        if not (lo < v < hi):
+            raise DomainError(f"x={v} is outside the open support ({lo}, {hi})")
+    ds = np.array([min(v - lo, hi - v) for v in xs])
+    return 2.0 * _evaluator(poly, hi).extrapolated_green(x, ds).real

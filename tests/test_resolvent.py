@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -94,6 +95,21 @@ class TestRootsAt:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(NoConvergence):
             R.roots_at(fc3_poly, 2.0)
+        # a stacked call leaves every row to the scalar call
+        assert R.roots_at(fc3_poly, np.array([2.0, 3.0])) == [None, None]
+
+    def test_stacked_rows_are_the_scalar_calls(self, fc3_poly):
+        zs = [2.0, 1e-12, 5.0 + 1e-7j, 9.0 + 1e-6j, 3.0 - 1e-7j, 1e6j]
+        assert R.roots_at(fc3_poly, np.array(zs)) == [R.roots_at(fc3_poly, z) for z in zs]
+
+    def test_stacked_rows_leave_degree_drops_and_failures_to_the_scalar_call(self):
+        # the arcsine quadratic drops its degree at z = 2; z^3 overflows at 1e200j
+        poly = M.build_resolvent(M.arcsine())
+        rows = R.roots_at(poly, np.array([2.1, 2.0, 1.0 + 1e-7j]))
+        assert rows == [R.roots_at(poly, 2.1), None, R.roots_at(poly, 1.0 + 1e-7j)]
+        poly = M.build_resolvent(M.free_power(M.mp(1), F(1, 3)))
+        rows = R.roots_at(poly, np.array([1e200j, complex("nan"), 1.0 + 1e-7j]))
+        assert rows == [None, None, R.roots_at(poly, 1.0 + 1e-7j)]
 
 
 class TestBranchTracking:
@@ -167,6 +183,17 @@ class TestBranchTracking:
         want = -(g2 + (g2 - g1) * (e2 / (e1 - e2))).imag / math.pi
         assert R.density(poly, x) == want
 
+    def test_prefetched_roots_serve_only_a_first_step_that_arrives(self, mp_poly):
+        z = complex(2.0, 1e-7)
+        want = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6)).move_to(z)
+        # a descent from 1e6 takes many steps: a wrong set for z is never read
+        tracker = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6))
+        assert tracker.move_to(z, roots=[5.0 + 5.0j]) == want
+        # a drop from 1e-6 arrives in one step, on the root set it is given
+        tracker = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6))
+        tracker.move_to(complex(2.0, 1e-6))
+        assert tracker.move_to(z, roots=R.roots_at(mp_poly, z)) == want
+
     def test_path_independence(self, fc3_poly):
         # vertical descent vs L-shaped route reach the same branch
         x = 2.0
@@ -229,6 +256,64 @@ class TestDensity:
         fam = C.family("fc3")
         for x in (2.0, 5.0, 8.0):
             assert abs(R.density(fc3_poly, x) - fam.density(x)) < 1e-8
+
+
+class TestStackedSolves:
+    """Grids and CDF tables take each eps level's root sets from one
+    stacked solve; every value keeps the bits of a pointwise evaluation."""
+
+    @pytest.mark.parametrize("expr, margin", [
+        ("mp(1/3)*mp(1/2)", 0.01),
+        ("as*mp(2)", 0.01),
+        ("mp(1)^(1/2)", 0.01),
+        ("mp(1/4)^(1/3)", 0.01),
+        ("mp(1)*mp(1/2)", 0.01),
+        # tight eps levels near both edges, and steps that solve their own roots
+        ("mp(1/4)^(1/3)", 0.0),
+    ])
+    def test_grid_is_the_fresh_pointwise_density(self, expr, margin):
+        spec = grammar.parse_measure(expr)
+        poly = M.build_resolvent(spec)
+        curve = R.density_curve(poly, 512, edge_margin=margin)
+        for x, rho in curve.points:
+            fresh = M.build_resolvent(spec)
+            fresh._cache["support"] = poly._cache["support"]
+            assert R.density(fresh, x, edge_margin=0.0) == rho, x
+
+    @pytest.mark.parametrize("c", [F(1, 3), F(2, 5), F(1, 2), F(3, 5)])
+    def test_cdf_table_is_the_pointwise_table(self, c):
+        spec = M.mp(1) * M.mp(c)
+        stacked = R.cdf_interpolator(M.build_resolvent(spec))
+        source = R.density_source(M.build_resolvent(spec))
+        pointwise = dataclasses.replace(source, density=lambda x: (
+            np.array([source.density(v) for v in x.tolist()]) if np.ndim(x)
+            else source.density(x)))
+        xs = np.linspace(-0.1, 1.05 * source.support[1], 20001)
+        assert np.array_equal(stacked(xs), R.tabulated_cdf(pointwise)(xs))
+
+    def test_potential_over_a_grid_is_the_fresh_pointwise_value(self):
+        spec = M.mp(F(1, 3)) * M.mp(F(1, 2))
+        poly = M.build_resolvent(spec)
+        lo, hi = R.support_edges(poly)
+        xs = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 256)
+        for x, v in zip(xs.tolist(), R.potential_derivative(poly, xs).tolist()):
+            fresh = M.build_resolvent(spec)
+            fresh._cache["support"] = poly._cache["support"]
+            assert R.potential_derivative(fresh, x) == v, x
+
+    def test_sampling_solves_each_level_once(self, monkeypatch):
+        # about 1,035 solves when each point solves its own roots
+        source = R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
+        calls = []
+        roots_at = R.roots_at
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return roots_at(*args, **kwargs)
+
+        monkeypatch.setattr(R, "roots_at", counting)
+        R._sampled(source, 512, 0.01)
+        assert len(calls) <= 100
 
 
 class TestSupportEdges:
