@@ -75,4 +75,4 @@ class ShapeError(FreeconvError, ValueError):
 
 class EdgeWarning(UserWarning):
     """A density was requested inside the configured edge margin, where
-    the finite-epsilon limit is least accurate."""
+    the inversion on the real axis is least accurate."""

@@ -6,25 +6,24 @@ each polished by one Newton step), follows the physical branch from the
 w ~ m1/z asymptote at |z| >= 4R (R the upper support edge, where the
 moment bound m_n <= m1 R^(n-1) leaves one root near m1/z; higher for
 clearing powers above 6) down to the real axis by tangent-predictor
-continuation, drops a second epsilon level vertically from the first,
-and performs the Stieltjes inversion
+continuation, and performs the Stieltjes inversion
 
-    rho(x) = -(1/pi) * lim_{eps->0} Im G(x + i eps),    G = (1 + w)/z
+    rho(x) = -(1/pi) * Im G(x + i0),    G = (1 + w)/z
 
-with a two-epsilon Richardson extrapolation.  Where the x values are
-known in advance (a sampling grid, a CDF table, a potential grid) each
-epsilon level solves the root sets of all its points in one stacked
-eigenvalue call, and the continuation steps through them under its
-one acceptance test.  Support edges are the critical values of the
-explicit inverse x^q = h(w) of P(w, x) = 0, with every root identified
-in exact arithmetic.  Every mass, moment and CDF of a density,
-continued or closed-form, comes from one quadrature (``integral``) and
-one CDF table (``tabulated_cdf``) over a ``DensitySource``.
+on the real axis itself: inside the support w(x + i0) is the member with
+Im w < 0 of a conjugate pair of roots of the real polynomial P(., x).
+Along x values known in advance (a sampling grid, a CDF table, a
+potential grid) one stacked eigenvalue call solves all root sets, and
+the continuation steps through them under its one acceptance test.
+Support edges are the critical values of the explicit inverse
+x^q = h(w) of P(w, x) = 0, with every root identified in exact
+arithmetic.  Every mass, moment and CDF of a density, continued or
+closed-form, comes from one quadrature (``integral``) and one CDF table
+(``tabulated_cdf``) over a ``DensitySource``.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import warnings
@@ -57,7 +56,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-DEFAULT_EPS_PAIR = (1e-6, 1e-7)
 SEED_HEIGHT = 1e6
 
 
@@ -189,8 +187,8 @@ class BranchTracker:
     root of the new root set with the second-nearest root at least
     twice as far away, the prediction error must stay small against the
     local sheet separation, and the matched root must keep the Herglotz
-    sign Im G <= 0 required of a Cauchy transform in the upper half
-    plane.
+    sign Im G <= 0 required of a Cauchy transform in the closed upper
+    half plane.
     Together with the asymptotic seed this keeps the continuation off
     the spurious sheets that fractional-power clearing introduces.
 
@@ -227,7 +225,7 @@ class BranchTracker:
 
     def _physical_ok(self, w, z, tol=1e-9):
         """Herglotz sign test: a genuine Cauchy transform has Im G <= 0
-        everywhere in the upper half plane, which the spurious sheets
+        on the closed upper half plane, which the spurious sheets
         introduced by fractional-power clearing violate on approach to
         the real axis.  (Checking the uncleared functional relation
         with principal-branch powers is not sound here: along a descent
@@ -237,7 +235,7 @@ class BranchTracker:
         the check pass on every sheet instead.  The sign test plus
         margin-checked continuation from the asymptotic seed is what
         actually pins the branch.)"""
-        if z.imag <= 0.0:
+        if z.imag < 0.0:
             return True
         g = (1.0 + w) / z
         return g.imag <= tol * max(1.0, abs(g))
@@ -263,9 +261,9 @@ class BranchTracker:
         degrades, and the accepted step length falls in proportion,
         which is exactly the resolution needed to cross just above an
         edge without exchanging sheets.  Once the remaining distance
-        fits in one step the target is assigned exactly, so arbitrarily
-        small final offsets (x + i*1e-12) are reached without rounding
-        jitter from a long journey.  ``roots``, the root set at
+        fits in one step the target is assigned exactly, so the real
+        axis (x + 0j) is reached without rounding jitter from a long
+        journey.  ``roots``, the root set at
         ``z_target`` if the caller has it, serves the first step when
         that step reaches the target; every other step solves its own.
         """
@@ -325,94 +323,57 @@ class BranchTracker:
 
 def green(tracker, z):
     """Green's function G(z) = (1 + w(z)) / z on the physical branch."""
-    w = tracker.move_to(z)
-    return (1.0 + w) / z
+    return (1.0 + tracker.move_to(z)) / z
 
 
 # ---------------------------------------------------------------------------
-# cached two-level evaluator for Stieltjes inversion
+# cached evaluator for Stieltjes inversion on the real axis
 # ---------------------------------------------------------------------------
 
 class _BranchEvaluator:
-    """Trackers pinned to lines Im z = eps for a small set of eps levels.
+    """One tracker that lands on the real axis Im z = 0.
 
-    Walking horizontally between density queries continues from the
-    previous point on the branch; a jump beyond 0.1 max(1, |x|) starts
-    the level afresh at x instead.  A fresh level whose x another level
-    already sits at is a copy of that tracker, dropped vertically (one
-    step from 1e-6 to 1e-7, as a rule).  Otherwise it descends from
-    x + i max(50, R (1 + 3/(2 r))), R the upper support edge and r the
-    ``_seed_radius`` (1/2 up to clearing power 6, so 4R there): w(z) =
-    sum m_n z^(-n) with m_n <= m1 R^(n-1), so |w - m1/z| <= |m1/z|
-    rho/(1 - rho) for rho = R/|z|, which at that height puts the
-    physical root within 2r/3 |m1/z| of the seed target m1/z and every
-    other root near m1/z beyond r |m1/z|, where the tracker checks that
-    the physical root is alone.  So queries are cheap in ascending x (a
-    sampling grid, the node batches of ``integral``) and a scattered
-    one costs a short descent.  An array of queries is visited in its
-    order with each level's root sets solved up front in one stacked
-    ``roots_at`` call: a step that reaches its point in one move takes
-    the prefetched set, so a grid costs one solve per level plus the
-    steps of its descents.  Near a support edge the default
-    epsilon pair cannot resolve the limit (the Richardson residual
-    grows like (eps/d)^2 at distance d), so each query's distance d to
-    the nearer edge tightens the pair to eps <= d/1000 (the default
-    pair for d >= 1e-3), quantized to powers of ten to bound the trackers.
+    Inside the support w(x + i0) is the member with Im w < 0 of a
+    conjugate pair of roots of the real polynomial P(., x); the margin
+    test of ``move_to`` keeps it apart from its conjugate 2 |Im w| away.
+    Walking along the axis between queries continues from the previous
+    point on the branch; a jump beyond 0.1 max(1, |x|) starts afresh
+    with a descent from x + i max(50, R (1 + 3/(2 r))), R the upper
+    support edge and r the ``_seed_radius`` (1/2 up to clearing power 6,
+    so 4R there): w(z) = sum m_n z^(-n) with m_n <= m1 R^(n-1), so
+    |w - m1/z| <= |m1/z| rho/(1 - rho) for rho = R/|z|, which at that
+    height puts the physical root within 2r/3 |m1/z| of the seed target
+    m1/z and every other root near m1/z beyond r |m1/z|, where the
+    tracker checks that the physical root is alone.  So queries are
+    cheap in ascending x (a sampling grid, the node batches of
+    ``integral``) and a scattered one costs a short descent.  The root
+    sets of an array of queries come from one stacked ``roots_at`` call,
+    whose row a step that reaches its point in one move takes.
     """
 
     def __init__(self, poly, upper_edge):
         self.poly = poly
         self._height = max(50.0, upper_edge * (1.0 + 1.5 / _seed_radius(poly.clearing_power)))
-        self._trackers = {}
+        self._tracker = None
 
-    def _w_at(self, eps, x, roots=None):
-        """w at x + i eps on the tracker of level eps, given ``roots``,
-        the root set there, if the caller has it."""
-        tr = self._trackers.get(eps)
-        # long horizontal moves may cross support edges where the sheets
-        # braid; a fresh vertical descent is both safer and cheaper there
-        if tr is not None and abs(x - tr.z.real) > 0.1 * max(1.0, abs(tr.z.real)):
-            tr = None
-        if tr is None:
-            above = [t for t in self._trackers.values() if t.z.real == x]
-            if above:
-                tr = copy.copy(min(above, key=lambda t: abs(t.z.imag - eps)))
-            else:
-                tr = BranchTracker(self.poly, seed=complex(x, self._height))
-        w = tr.move_to(complex(x, eps), roots)
-        self._trackers[eps] = tr
-        return w
+    def seeded(self, x):
+        """A fresh tracker at x + i max(50, R (1 + 3/(2 r)))."""
+        return BranchTracker(self.poly, seed=complex(x, self._height))
 
-    def extrapolated_green(self, x, edge_distance):
-        """Richardson extrapolation of G(x + i eps) linearly in eps.
-
-        ``x`` and ``edge_distance`` are scalars, or 1-D arrays whose
-        points are visited in order; for more than one point every eps
-        level first solves the root sets of all its points in one
-        stacked ``roots_at`` call, which each tracker step that reaches
-        its point takes.
-        """
+    def boundary_green(self, x):
+        """G(x + i0) = (1 + w)/x at a scalar x, or over a 1-D array of x
+        visited in order, whose root sets come from one stacked
+        ``roots_at`` call."""
         xs = np.atleast_1d(x).tolist()
-        pairs = [_eps_pair(d) for d in np.atleast_1d(edge_distance).tolist()]
-        found = {}
-        if len(xs) > 1:
-            for eps in dict.fromkeys(e for pair in pairs for e in pair):
-                zs = [complex(xi, eps) for xi, pair in zip(xs, pairs) if eps in pair]
-                found.update(zip(zs, roots_at(self.poly, np.array(zs))))
+        rows = roots_at(self.poly, np.array(xs, dtype=complex)) if len(xs) > 1 else [None]
         out = []
-        for xi, (e1, e2) in zip(xs, pairs):
-            g1, g2 = ((1.0 + self._w_at(e, xi, found.get(complex(xi, e)))) / complex(xi, e)
-                      for e in (e1, e2))
-            out.append(g2 + (g2 - g1) * (e2 / (e1 - e2)))
+        for xi, roots in zip(xs, rows):
+            tr = self._tracker
+            # a long move along the axis may cross an edge: a fresh descent is safer
+            if tr is None or abs(xi - tr.z.real) > 0.1 * max(1.0, abs(tr.z.real)):
+                tr = self._tracker = self.seeded(xi)
+            out.append((1.0 + tr.move_to(complex(xi, 0.0), roots)) / xi)
         return np.array(out) if np.ndim(x) else out[0]
-
-
-def _eps_pair(edge_distance):
-    """The two eps levels at distance ``edge_distance`` from the nearer
-    edge: eps <= d/1000 in powers of ten, at most ``DEFAULT_EPS_PAIR``."""
-    e1 = 10.0 ** min(math.floor(math.log10(max(edge_distance, 1e-13))) - 3,
-                     round(math.log10(DEFAULT_EPS_PAIR[0])))
-    return e1, 0.1 * e1
 
 
 def _evaluator(poly, upper_edge):
@@ -426,18 +387,14 @@ def _inverted_density(ev, lo, hi, x):
     """rho(x) = -Im G(x + i0)/pi inside (lo, hi), else 0, at a scalar x or
     over a 1-D array of x visited in order; negative values are clipped
     to 0, and logged below -1e-12."""
-    xs = np.atleast_1d(x).tolist()
-    ds = [min(v - lo, hi - v) for v in xs]
-    inside = [k for k, d in enumerate(ds) if d > 0.0]
-    g = iter(ev.extrapolated_green(np.array([xs[k] for k in inside]),
-                                   np.array([ds[k] for k in inside])).tolist())
-    rho = []
-    for v, d in zip(xs, ds):
-        r = -next(g).imag / math.pi if d > 0.0 else 0.0
-        if r < -1e-12:
-            log.warning("density %.3e at x=%s clipped to zero", r, v)
-        rho.append(r if r > 0.0 else 0.0)
-    return np.array(rho) if np.ndim(x) else rho[0]
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (lo < xs) & (xs < hi)
+    rho = np.zeros(len(xs))
+    rho[inside] = -ev.boundary_green(xs[inside]).imag / math.pi
+    for v, r in zip(xs[rho < -1e-12].tolist(), rho[rho < -1e-12].tolist()):
+        log.warning("density %.3e at x=%s clipped to zero", r, v)
+    rho = np.where(rho > 0.0, rho, 0.0)
+    return rho if np.ndim(x) else float(rho[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +504,9 @@ def support_edges(poly):
         xc = x_crit(wc)
         if wc in above[:1] + below[-1:] or not lo < xc < hi:
             continue
-        w = xc * _evaluator(poly, hi).extrapolated_green(xc, min(xc - lo, hi - xc)) - 1.0
+        # just above xc: on the axis a branch that reaches wc is the double root
+        z = complex(xc, 1e-6 * min(xc - lo, hi - xc))
+        w = z * green(_evaluator(poly, hi).seeded(xc), z) - 1.0
         if abs(w - wc) <= 1e-2 * max(1.0, abs(wc)):
             raise MultiIntervalError(
                 f"the physical branch reaches the critical point w={wc:.6g} at "
@@ -563,8 +522,8 @@ def support_edges(poly):
 def density(poly, x, edge_margin=0.01):
     """Spectral density at real x by Stieltjes inversion.
 
-    Evaluates Im G at x + i*eps for the two epsilon levels and
-    extrapolates linearly to eps = 0, as ``density_source`` does.
+    Evaluates Im G at x + i0 on the real axis, as ``density_source``
+    does.
     Returns 0 outside the support.
     Emits EdgeWarning when x falls within ``edge_margin`` of a support
     edge (fraction of the support width); the value is still returned.
@@ -862,16 +821,14 @@ def cdf_interpolator(poly):
 
 
 def potential_derivative(poly, x):
-    """V'(x) = 2 Re G(x + i0+) for x strictly inside the support, at a
-    scalar x or over a 1-D array of x (one stacked solve per eps level).
+    """V'(x) = 2 Re G(x + i0) for x strictly inside the support, at a
+    scalar x or over a 1-D array of x (one stacked solve).
 
     By conjugate symmetry of the physical branch across the cut this
     equals the limit of G(x + i eps) + G(x - i eps).
     """
     lo, hi = support_edges(poly)
-    xs = np.atleast_1d(x).tolist()
-    for v in xs:
-        if not (lo < v < hi):
-            raise DomainError(f"x={v} is outside the open support ({lo}, {hi})")
-    ds = np.array([min(v - lo, hi - v) for v in xs])
-    return 2.0 * _evaluator(poly, hi).extrapolated_green(x, ds).real
+    outside = [v for v in np.atleast_1d(x).tolist() if not lo < v < hi]
+    if outside:
+        raise DomainError(f"x={outside[0]} is outside the open support ({lo}, {hi})")
+    return 2.0 * _evaluator(poly, hi).boundary_green(x).real

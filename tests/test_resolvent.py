@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeconv import cli
 from freeconv import closedform as C
 from freeconv import grammar
 from freeconv import measures as M
@@ -147,7 +148,7 @@ class TestBranchTracking:
         poly = M.build_resolvent(M.boxtimes(M.mp(F(3, 5)), M.mp(F(3, 4))))
         hi = R.support_edges(poly)[1]
         for x in (5.25e-11, 1e-9):
-            g = R._evaluator(poly, hi).extrapolated_green(x, x)
+            g = R._evaluator(poly, hi).boundary_green(x)
             assert abs(g.imag) < 1e-8
 
     @pytest.mark.parametrize("expr", ["mp(1)^2", "as*mp(1)^2", "mp(1)^(1/3)",
@@ -158,11 +159,10 @@ class TestBranchTracking:
         poly = M.build_resolvent(grammar.parse_measure(expr))
         lo, hi = R.support_edges(poly)
         for x in lo + (hi - lo) * np.linspace(0.05, 0.95, 10):
-            for eps in R.DEFAULT_EPS_PAIR:
-                z = complex(float(x), eps)
-                low = R.BranchTracker(poly, seed=complex(float(x), max(50.0, 4.0 * hi)))
-                high = R.BranchTracker(poly, seed=complex(float(x), 1e6))
-                assert low.move_to(z) == high.move_to(z)
+            z = complex(float(x), 0.0)
+            low = R.BranchTracker(poly, seed=complex(float(x), max(50.0, 4.0 * hi)))
+            high = R.BranchTracker(poly, seed=complex(float(x), 1e6))
+            assert low.move_to(z) == high.move_to(z)
 
     def test_seed_with_two_roots_near_m1_over_z_is_ambiguous(self, mp_poly, monkeypatch):
         target = 1.0 / 1e6j  # m1 = 1
@@ -177,11 +177,8 @@ class TestBranchTracking:
         poly = M.build_resolvent(grammar.parse_measure(expr))
         lo, hi = R.support_edges(poly)
         x = lo + 0.4 * (hi - lo)
-        g1, g2 = (R.green(R.BranchTracker(poly, seed=complex(x, 1e6)), complex(x, eps))
-                  for eps in R.DEFAULT_EPS_PAIR)
-        e1, e2 = R.DEFAULT_EPS_PAIR
-        want = -(g2 + (g2 - g1) * (e2 / (e1 - e2))).imag / math.pi
-        assert R.density(poly, x) == want
+        g = R.green(R.BranchTracker(poly, seed=complex(x, 1e6)), complex(x, 0.0))
+        assert R.density(poly, x) == -g.imag / math.pi
 
     def test_prefetched_roots_serve_only_a_first_step_that_arrives(self, mp_poly):
         z = complex(2.0, 1e-7)
@@ -193,6 +190,16 @@ class TestBranchTracking:
         tracker = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6))
         tracker.move_to(complex(2.0, 1e-6))
         assert tracker.move_to(z, roots=R.roots_at(mp_poly, z)) == want
+
+    def test_herglotz_sign_on_the_real_axis(self, mp_poly):
+        # at x + i0 the physical root has Im w <= 0; a prefetched set that
+        # offers only its conjugate is rejected, and the walk solves again
+        z = complex(2.0, 0.0)
+        want = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6)).move_to(z)
+        assert want.imag < 0.0
+        tracker = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6))
+        tracker.move_to(complex(2.0, 1e-7))
+        assert tracker.move_to(z, roots=[want.conjugate()]) == want
 
     def test_path_independence(self, fc3_poly):
         # vertical descent vs L-shaped route reach the same branch
@@ -259,8 +266,8 @@ class TestDensity:
 
 
 class TestStackedSolves:
-    """Grids and CDF tables take each eps level's root sets from one
-    stacked solve; every value keeps the bits of a pointwise evaluation."""
+    """Grids and CDF tables take their root sets from one stacked
+    solve; every value keeps the bits of a pointwise evaluation."""
 
     @pytest.mark.parametrize("expr, margin", [
         ("mp(1/3)*mp(1/2)", 0.01),
@@ -268,7 +275,7 @@ class TestStackedSolves:
         ("mp(1)^(1/2)", 0.01),
         ("mp(1/4)^(1/3)", 0.01),
         ("mp(1)*mp(1/2)", 0.01),
-        # tight eps levels near both edges, and steps that solve their own roots
+        # points near both edges, and steps that solve their own roots
         ("mp(1/4)^(1/3)", 0.0),
     ])
     def test_grid_is_the_fresh_pointwise_density(self, expr, margin):
@@ -355,18 +362,25 @@ class TestSupportEdges:
         wc = next(w for w in crit if -3.0 < w < -2.0)
         calls = []
 
-        def real_branch(self, x, edge_distance=None):
-            # a Green's function whose w = x G - 1 sits on the critical point
-            calls.append(x)
-            return (1.0 + wc) / x
+        def real_branch(tracker, z):
+            # a Green's function whose w = z G - 1 sits on the critical point
+            calls.append(z)
+            return (1.0 + wc) / z
 
-        monkeypatch.setattr(R._BranchEvaluator, "extrapolated_green", real_branch)
+        monkeypatch.setattr(R, "green", real_branch)
         with pytest.raises(MultiIntervalError):
             R.support_edges(M.build_resolvent(spec))
         assert len(calls) == 1
         # a measure without interior candidates never continues the branch
         R.support_edges(M.build_resolvent(M.mp(F(9, 10))))
         assert len(calls) == 1
+
+    def test_interior_critical_point_reached(self, capsys):
+        # the physical branch of as^(1/2) runs through w = -4 at x = 1.29904
+        assert cli.main(["support", "--measure", "as^(1/2)"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "critical point w=-4 at x=1.29904" in err
 
     def test_purely_atomic_measure_rejected(self):
         poly = M.build_resolvent(M.rational_factor((2, 2), (1, 2)))
@@ -452,13 +466,13 @@ class TestDensitySource:
         # cubature asks for overlapping node sets; at 320 evaluations it
         # computed each node about twice
         calls = []
-        green = R._BranchEvaluator.extrapolated_green
+        green = R._BranchEvaluator.boundary_green
 
         def counting(self, *args, **kwargs):
             calls.append(1)
             return green(self, *args, **kwargs)
 
-        monkeypatch.setattr(R._BranchEvaluator, "extrapolated_green", counting)
+        monkeypatch.setattr(R._BranchEvaluator, "boundary_green", counting)
         R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
         assert 0 < len(calls) <= 160
 
@@ -521,11 +535,11 @@ class TestPotentialDerivative:
             R.potential_derivative(mp_poly, 4.5)
 
     def test_conjugate_pair_symmetry(self, mp_poly):
-        # 2 Re G equals G(x + i eps) + G(x - i eps) by reflection
-        lo, hi = R.support_edges(mp_poly)
-        g = R._evaluator(mp_poly, hi).extrapolated_green(2.5, min(2.5 - lo, hi - 2.5))
-        assert abs(R.potential_derivative(mp_poly, 2.5)
-                   - (g + g.conjugate()).real) < 1e-12
+        # 2 Re G(x + i0) is the limit of G(x + i delta) + G(x - i delta)
+        x, delta = 2.5, 1e-9
+        above = R.green(R.BranchTracker(mp_poly, seed=complex(x, 1e6)), complex(x, delta))
+        below = R.green(R.BranchTracker(mp_poly, seed=complex(x, -1e6)), complex(x, -delta))
+        assert abs(R.potential_derivative(mp_poly, 2.5) - (above + below)) < 1e-8
 
 
 class TestCdfInterpolator:
