@@ -463,8 +463,12 @@ def support_edges(poly):
     support is unbounded or has no interior.
 
     Cached with the edges for ``density_source``: the atom 1 + w0
-    (Belinschi 2003) and the lower edge power, m/q at a hard edge (w0 of
-    multiplicity m != q, rho ~ x^(q/m - 1)), else 2 (square root).
+    (Belinschi 2003), the lower edge power, m/q at a hard edge (w0 of
+    multiplicity m != q, rho ~ x^(q/m - 1)), else 2 (square root), and
+    the lower floor, 0 but at a hard edge: there m roots meet at w0, a
+    cluster that double precision resolves only to about eps^(1/m), so
+    the density is not evaluated within 1e-11, 1e-7 or 1e-4 of the
+    support width, for q = 1, 2 and 3 or more.
     """
     cached = poly._cache.get("support")
     if cached is not None:
@@ -511,7 +515,9 @@ def support_edges(poly):
             raise MultiIntervalError(
                 f"the physical branch reaches the critical point w={wc:.6g} at "
                 f"x={xc:.6g}, inside ({lo:.6g}, {hi:.6g}): not a single interval")
-    poly._cache["support"] = (lo, hi, 1.0 + w0, mult / q if mult != q else 2.0)
+    lo, hi = float(lo), float(hi)
+    floor = 0.0 if mult == q else (1e-4 if q >= 3 else 1e-7 if q == 2 else 1e-11) * (hi - lo)
+    poly._cache["support"] = (lo, hi, 1.0 + w0, mult / q if mult != q else 2.0, floor)
     return lo, hi
 
 
@@ -554,9 +560,11 @@ class DensitySource:
     table, in the order of a walk), ``atom`` the weight of a point mass
     at zero.  With ``edge_powers`` (p_lo, p_hi), x = lo + t^p_lo and
     x = hi - t^p_hi turn an edge behaviour d^(-alpha) in the distance d
-    to the edge into a bounded integrand in t once p >= 1/(1 - alpha).
-    Strips of widths ``edge_floors`` at the edges are closed by a
-    power-law fit.
+    to the edge into a bounded integrand in t once p >= 1/(1 - alpha);
+    at p = 1/(1 - alpha) it tends to a nonzero constant at t = 0.  No
+    density is evaluated within ``edge_floors`` of an edge, and a strip
+    there is closed by that constant (nonzero floors sit only at a hard
+    edge at zero).
     """
 
     support: tuple
@@ -566,40 +574,15 @@ class DensitySource:
     edge_floors: tuple
 
 
-def _edge_fit(rho, edge, f, direction):
-    """(rho at distance f, alpha) of the power law rho ~ C d^(-alpha)
-    through d = f and d = 2f from ``edge`` on the side ``direction``
-    (alpha < 0 at a vanishing edge), or None where rho is too small."""
-    r1 = rho(edge + direction * f)
-    r2 = rho(edge + direction * 2.0 * f)
-    if r1 <= 1e-12 or r2 <= 1e-12:
-        return None
-    return r1, min(max(math.log2(r1 / r2), -6.0), 0.97)
-
-
-def _edge_head(rho, edge, f, direction, k):
-    """Integral of x^k rho over the strip of width ``f`` at ``edge``
-    under the power law of ``_edge_fit``."""
-    fit = _edge_fit(rho, edge, f, direction)
-    if fit is None:
-        return 0.0
-    r1, alpha = fit
-    if edge == 0.0 and direction > 0:
-        # x = d exactly: integral of C d^(k - alpha) on [0, f]
-        if k + 1 - alpha <= 0:
-            return 0.0
-        return r1 * f ** alpha * f ** (k + 1 - alpha) / (k + 1 - alpha)
-    weight = (edge + direction * 0.5 * f) ** k if k else 1.0
-    return weight * r1 * f ** alpha * f ** (1 - alpha) / (1 - alpha)
-
-
 def integral(source, k=0, x=None):
     """(Integral of x^k rho over the continuous part up to ``x``, error
     estimate), by SciPy's vectorised adaptive 21-point Gauss-Kronrod in
-    each edge's variable t from the floor to the middle of the support,
-    each node evaluated once and each batch in ascending x, and the
-    power-law head on each floor strip; ``x`` defaults to the upper
-    edge.  Each caller holds the error estimate to its own bound.
+    each edge's variable t from the floor t_f to the middle of the
+    support, each node evaluated once and each batch in ascending x;
+    ``x`` defaults to the upper edge.  A floor strip closes with the
+    exact leading term t_f g(t_f)/(p k + 1) of the integrand
+    g(t) ~ A t^(p k) at a hard edge at zero, x = t^p.  Each caller holds
+    the error estimate to its own bound.
     """
     from scipy import integrate
 
@@ -618,8 +601,6 @@ def integral(source, k=0, x=None):
         near, far = (f, min(top, mid) - lo) if s > 0 else (max(hi - top, f), hi - mid)
         if near >= far:
             continue
-        if f > 0.0 and near == f:  # the floor strip lies below ``top``
-            total += _edge_head(rho, edge, f, s, k)
 
         seen = {}  # cubature evaluates overlapping node sets
 
@@ -630,6 +611,9 @@ def integral(source, k=0, x=None):
                 seen[ti] = weighted(edge + s * ti ** p) * p * ti ** (p - 1.0)
             return np.array([seen[ti] for ti in t])
 
+        if f > 0.0 and near == f:  # the floor strip lies below ``top``
+            t_f = f ** (1.0 / p)
+            total += t_f * batch(np.array([[t_f]]))[0] / (p * k + 1.0)
         res = integrate.cubature(batch, [near ** (1.0 / p)], [far ** (1.0 / p)], rule="gk21",
                                  rtol=1e-10, atol=1e-10, max_subdivisions=200)
         total += float(res.estimate)
@@ -641,10 +625,9 @@ def tabulated_cdf(source):
     """Vectorised CDF of a density source, atom at zero included.
 
     The cumulative trapezoid rule runs on equally spaced nodes of each
-    edge's variable t, from the floor to the middle of the support.  At
-    either edge the first cell is the floor strip under the power-law
-    head or, with no floor, the cell from t = 0, whose integrand there
-    is taken from the next node: no density is evaluated on an edge.
+    edge's variable t, from the floor to the middle of the support.  The
+    first cell, from t = 0 to the first node, takes the integrand at
+    that node: no density is evaluated on an edge or inside a floor.
     The table is scaled to the continuous mass 1 - atom.
     """
     mid = 0.5 * sum(source.support)
@@ -654,13 +637,10 @@ def tabulated_cdf(source):
         t = np.linspace(f ** (1.0 / p), abs(mid - edge) ** (1.0 / p), _CDF_NODES // 2)
         inner = (t[1:] if t[0] == 0.0 else t).tolist()
         rho = source.density(np.array([edge + s * ti ** p for ti in inner])).tolist()
-        g = np.array([r * p * ti ** (p - 1.0) for r, ti in zip(rho, inner)])
-        if t[0] == 0.0:
-            g = np.concatenate([g[:1], g])
-        head = _edge_head(source.density, edge, f, s, 0) if f > 0.0 else 0.0
-        cum = head + np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
-        tables.append((np.concatenate([[edge], edge + s * t ** p]),
-                       np.concatenate([[0.0], cum])))
+        g = [r * p * ti ** (p - 1.0) for r, ti in zip(rho, inner)]
+        t, g = np.array([0.0] + inner), np.array(g[:1] + g)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        tables.append((edge + s * t ** p, cum))
     (x_lo, c_lo), (x_hi, c_hi) = tables
     # the upper table runs from hi down to the middle, which both share
     xs = np.concatenate([x_lo, x_hi[-2::-1]])
@@ -721,39 +701,24 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _edge_floors(poly, width):
-    """Distances from the two support edges inside which the continued
-    density is closed by a power-law fit instead of being evaluated.
-
-    Near a hard edge at zero the clearing power q sets the floor: the
-    cleared polynomial packs roots into a cluster of radius |z|^(q/(q+1))
-    whose conditioning in double precision collapses quickly for large
-    q.  Near the upper edge only the pair collision matters, and a tiny
-    floor also keeps adaptive quadrature away from the sub-resolution
-    cliff left by the rounding of the critical value that locates it.
-    """
-    q = poly.clearing_power
-    lo_frac = 1e-4 if q >= 3 else (1e-7 if q == 2 else 1e-11)
-    return lo_frac * width, 1e-9 * width
-
-
 def density_source(poly):
     """The continued density of ``poly`` as a density source.
 
-    Support, atom at zero and lower edge power from ``support_edges``,
-    upper edge power 2, floors from ``_edge_floors``, the inversion of
-    ``density``.  QuadratureError when the quadrature of the continuous
-    mass and the atom miss one by more than 1e-5, the bound of
-    ``curve_integral`` (where the expression is no probability measure).
+    Support, atom at zero, lower edge power and lower floor from
+    ``support_edges``, upper edge power 2 with no floor, the inversion
+    of ``density``.  QuadratureError when the quadrature of the
+    continuous mass and the atom miss one by more than 1e-5, the bound
+    of ``curve_integral`` (where the expression is no probability
+    measure).
     """
     lo, hi = support_edges(poly)
-    atom, p_lo = poly._cache["support"][2:]
+    atom, p_lo, f_lo = poly._cache["support"][2:]
     ev = _evaluator(poly, hi)
 
     def rho(x):
         return _inverted_density(ev, lo, hi, x)
 
-    source = DensitySource((lo, hi), atom, rho, (p_lo, 2.0), _edge_floors(poly, hi - lo))
+    source = DensitySource((lo, hi), atom, rho, (p_lo, 2.0), (f_lo, 0.0))
     mass = curve_integral(source, 0)
     if abs(atom + mass - 1.0) > 1e-5:
         raise QuadratureError(f"continuous mass {mass:.9g} and atom {atom:.9g} at zero "

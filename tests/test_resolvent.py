@@ -337,6 +337,7 @@ class TestSupportEdges:
     ])
     def test_known_edges(self, spec, lo, hi):
         got_lo, got_hi = R.support_edges(M.build_resolvent(spec))
+        assert type(got_lo) is float and type(got_hi) is float
         assert abs(got_lo - lo) < 1e-8
         assert abs(got_hi - hi) < 1e-8
 
@@ -484,6 +485,28 @@ class TestDensitySource:
     def test_atom_from_quadrature(self, spec, atom):
         source = R.density_source(M.build_resolvent(spec))
         assert abs(source.atom - float(atom)) <= 1e-9
+
+    @pytest.mark.parametrize("expr", ["mp(1/2)^(1/3)", "mp(3/4)^(2/3)"])
+    def test_soft_lower_edge_has_no_floor(self, expr):
+        # g(t) ~ t^2 at a square-root edge: the quadrature runs from t = 0;
+        # fitted strips at both edges left mass defects of 7.8e-10 and 9.9e-8
+        poly = M.build_resolvent(grammar.parse_measure(expr))
+        source = R.density_source(poly)
+        assert source.edge_floors == (0.0, 0.0)
+        assert abs(source.atom + R.integral(source, 0)[0] - 1.0) <= 1e-13
+        m1 = float(Mo.moments_from_resolvent(poly, 1)[1])
+        assert abs(R.integral(source, 1)[0] - m1) <= 1e-13 * m1
+
+    @pytest.mark.parametrize("expr", ["mp(1)^3", "mp(1)^(1/3)"])
+    def test_hard_edge_strip_carries_the_moment_weight(self, expr):
+        # the strip closes with t_f g_k(t_f)/(p k + 1); without the
+        # 1/(p k + 1) the first moment of mp(1)^(1/3) is off by 6.4e-8
+        poly = M.build_resolvent(grammar.parse_measure(expr))
+        source = R.density_source(poly)
+        assert source.edge_floors[0] > 0.0
+        exact = Mo.moments_from_resolvent(poly, 2)
+        for k in (1, 2):
+            assert abs(R.integral(source, k)[0] - float(exact[k])) <= 1e-9, k
 
 
 class TestExactEdges:
