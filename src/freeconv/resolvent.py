@@ -13,7 +13,8 @@ continuation, and performs the Stieltjes inversion
 on the real axis itself: inside the support w(x + i0) is the member with
 Im w < 0 of a conjugate pair of roots of the real polynomial P(., x).
 Along x values known in advance (a sampling grid, a CDF table, a
-potential grid) one stacked eigenvalue call solves all root sets, and
+potential grid, a batch of quadrature nodes) one stacked eigenvalue
+call solves all root sets, and
 the continuation steps through them under its one acceptance test.
 Support edges are the critical values of the explicit inverse
 x^q = h(w) of P(w, x) = 0, with every root identified in exact
@@ -217,6 +218,7 @@ class BranchTracker:
         if len(roots) > 1 and abs(roots[1] - target) <= radius:
             raise BranchAmbiguity(
                 f"two roots near the asymptotic seed m1/z at z={z0}")
+        self._columns = [col.tolist() for col in poly.float_columns]
         self.z = z0
         self.w = w0
         self.slope = self._slope(w0, z0)
@@ -241,14 +243,19 @@ class BranchTracker:
         return g.imag <= tol * max(1.0, abs(g))
 
     def _slope(self, w, z):
-        """dw/dz = -P_z / P_w by implicit differentiation, with
-        P_z = q z^(q-1) aq(w) (None at a branch point, where P_w vanishes)."""
-        poly, q = self.poly, self.poly.clearing_power
-        pw = _horner_pair(poly.wcoeffs_at(z).tolist(), w)[1]
+        """dw/dz = -P_z / P_w by implicit differentiation of
+        P = a0(w) + z^q aq(w): P_w = a0'(w) + z^q aq'(w) and
+        P_z = q z^(q-1) aq(w), by Horner on the float columns as Python
+        lists, so that an accepted step costs no second coefficient
+        evaluation (None at a branch point, where P_w vanishes)."""
+        q = self.poly.clearing_power
+        da0 = _horner_pair(self._columns[0], w)[1]
+        aq, daq = _horner_pair(self._columns[1], w)
+        zq1 = z ** (q - 1)
+        pw = da0 + zq1 * z * daq
         if pw == 0:
             return None
-        pz = _horner_pair((q * np.power(z, q - 1) * poly.float_columns[1]).tolist(), w)[0]
-        return -pz / pw
+        return -q * zq1 * aq / pw
 
     def move_to(self, z_target, roots=None):
         """Continue the physical branch to ``z_target`` and return w there.
@@ -337,23 +344,28 @@ class _BranchEvaluator:
     conjugate pair of roots of the real polynomial P(., x); the margin
     test of ``move_to`` keeps it apart from its conjugate 2 |Im w| away.
     Walking along the axis between queries continues from the previous
-    point on the branch; a jump beyond 0.1 max(1, |x|) starts afresh
-    with a descent from x + i max(50, R (1 + 3/(2 r))), R the upper
-    support edge and r the ``_seed_radius`` (1/2 up to clearing power 6,
-    so 4R there): w(z) = sum m_n z^(-n) with m_n <= m1 R^(n-1), so
+    point on the branch.  Every query lies inside the support (lo, hi),
+    so a walk along the axis crosses no edge, and the re-seed rule only
+    trades walk cost against descent cost, on the support width, the
+    scale on which w(x) varies: a move beyond 0.1 (hi - lo) starts
+    afresh with a descent from x + i max(50, R (1 + 3/(2 r))), R = hi
+    the upper support edge and r the ``_seed_radius`` (1/2 up to
+    clearing power 6, so 4R there): w(z) = sum m_n z^(-n) with
+    m_n <= m1 R^(n-1), so
     |w - m1/z| <= |m1/z| rho/(1 - rho) for rho = R/|z|, which at that
     height puts the physical root within 2r/3 |m1/z| of the seed target
     m1/z and every other root near m1/z beyond r |m1/z|, where the
     tracker checks that the physical root is alone.  So queries are
-    cheap in ascending x (a sampling grid, the node batches of
-    ``integral``) and a scattered one costs a short descent.  The root
-    sets of an array of queries come from one stacked ``roots_at`` call,
-    whose row a step that reaches its point in one move takes.
+    cheap in order (a sampling grid, the node batches of ``integral``)
+    and a scattered one costs a short descent.  The root sets of an
+    array of queries come from one stacked ``roots_at`` call, whose row
+    a step that reaches its point in one move takes.
     """
 
-    def __init__(self, poly, upper_edge):
+    def __init__(self, poly, lo, hi):
         self.poly = poly
-        self._height = max(50.0, upper_edge * (1.0 + 1.5 / _seed_radius(poly.clearing_power)))
+        self._height = max(50.0, hi * (1.0 + 1.5 / _seed_radius(poly.clearing_power)))
+        self._reseed = 0.1 * (hi - lo)
         self._tracker = None
 
     def seeded(self, x):
@@ -369,17 +381,16 @@ class _BranchEvaluator:
         out = []
         for xi, roots in zip(xs, rows):
             tr = self._tracker
-            # a long move along the axis may cross an edge: a fresh descent is safer
-            if tr is None or abs(xi - tr.z.real) > 0.1 * max(1.0, abs(tr.z.real)):
+            if tr is None or abs(xi - tr.z.real) > self._reseed:
                 tr = self._tracker = self.seeded(xi)
             out.append((1.0 + tr.move_to(complex(xi, 0.0), roots)) / xi)
         return np.array(out) if np.ndim(x) else out[0]
 
 
-def _evaluator(poly, upper_edge):
+def _evaluator(poly, lo, hi):
     ev = poly._cache.get("evaluator")
     if ev is None:
-        ev = poly._cache["evaluator"] = _BranchEvaluator(poly, upper_edge)
+        ev = poly._cache["evaluator"] = _BranchEvaluator(poly, lo, hi)
     return ev
 
 
@@ -504,18 +515,18 @@ def support_edges(poly):
     lo = 0.0 if mult != q else x_crit(below[-1]) if below else x_limit(-1)
     if not lo < hi < math.inf:
         raise DomainError(f"no bounded continuous spectrum: the edges are {lo} and {hi}")
+    lo, hi = float(lo), float(hi)
     for wc in crit:
         xc = x_crit(wc)
         if wc in above[:1] + below[-1:] or not lo < xc < hi:
             continue
         # just above xc: on the axis a branch that reaches wc is the double root
         z = complex(xc, 1e-6 * min(xc - lo, hi - xc))
-        w = z * green(_evaluator(poly, hi).seeded(xc), z) - 1.0
+        w = z * green(_evaluator(poly, lo, hi).seeded(xc), z) - 1.0
         if abs(w - wc) <= 1e-2 * max(1.0, abs(wc)):
             raise MultiIntervalError(
                 f"the physical branch reaches the critical point w={wc:.6g} at "
                 f"x={xc:.6g}, inside ({lo:.6g}, {hi:.6g}): not a single interval")
-    lo, hi = float(lo), float(hi)
     floor = 0.0 if mult == q else (1e-4 if q >= 3 else 1e-7 if q == 2 else 1e-11) * (hi - lo)
     poly._cache["support"] = (lo, hi, 1.0 + w0, mult / q if mult != q else 2.0, floor)
     return lo, hi
@@ -539,7 +550,7 @@ def density(poly, x, edge_margin=0.01):
     if lo < x < lo + edge_margin * width or hi - edge_margin * width < x < hi:
         warnings.warn(f"density at x={x} is within the {edge_margin:.0%} edge margin",
                       EdgeWarning, stacklevel=2)
-    return _inverted_density(_evaluator(poly, hi), lo, hi, x)
+    return _inverted_density(_evaluator(poly, lo, hi), lo, hi, x)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +567,12 @@ class DensitySource:
     ``closedform.Family`` has the same attributes.
 
     ``density(x)`` is the continuous density on the open ``support``
-    (lo, hi), at a scalar x or over a 1-D array of x (a grid or a CDF
-    table, in the order of a walk), ``atom`` the weight of a point mass
-    at zero.  With ``edge_powers`` (p_lo, p_hi), x = lo + t^p_lo and
-    x = hi - t^p_hi turn an edge behaviour d^(-alpha) in the distance d
-    to the edge into a bounded integrand in t once p >= 1/(1 - alpha);
+    (lo, hi), at a scalar x or over a 1-D array of x (a grid, a CDF
+    table or a quadrature batch, in the order of a walk), ``atom`` the
+    weight of a point mass at zero.  With ``edge_powers`` (p_lo, p_hi),
+    x = lo + t^p_lo and x = hi - t^p_hi turn an edge behaviour
+    d^(-alpha) in the distance d to the edge into a bounded integrand
+    in t once p >= 1/(1 - alpha);
     at p = 1/(1 - alpha) it tends to a nonzero constant at t = 0.  No
     density is evaluated within ``edge_floors`` of an edge, and a strip
     there is closed by that constant (nonzero floors sit only at a hard
@@ -578,8 +590,10 @@ def integral(source, k=0, x=None):
     """(Integral of x^k rho over the continuous part up to ``x``, error
     estimate), by SciPy's vectorised adaptive 21-point Gauss-Kronrod in
     each edge's variable t from the floor t_f to the middle of the
-    support, each node evaluated once and each batch in ascending x;
-    ``x`` defaults to the upper edge.  A floor strip closes with the
+    support; ``x`` defaults to the upper edge.  Each node is evaluated
+    once: the new nodes of a batch go to the density as one array in
+    ascending t, walking away from the edge, which for a continued
+    density is one stacked root solve and a walk between neighbours.  A floor strip closes with the
     exact leading term t_f g(t_f)/(p k + 1) of the integrand
     g(t) ~ A t^(p k) at a hard edge at zero, x = t^p.  Each caller holds
     the error estimate to its own bound.
@@ -590,9 +604,6 @@ def integral(source, k=0, x=None):
     lo, hi = source.support
     mid = 0.5 * (lo + hi)
     top = hi if x is None else x
-
-    def weighted(v):
-        return rho(v) * v ** k if k else rho(v)
 
     total = err = 0.0
     for edge, p, f, s in zip(source.support, source.edge_powers, source.edge_floors,
@@ -606,9 +617,10 @@ def integral(source, k=0, x=None):
 
         def batch(t):
             t = t[:, 0].tolist()
-            # in ascending x, so that the trackers step between neighbouring nodes
-            for ti in sorted({ti for ti in t if ti not in seen}, key=lambda ti: s * ti):
-                seen[ti] = weighted(edge + s * ti ** p) * p * ti ** (p - 1.0)
+            new = sorted({ti for ti in t if ti not in seen})
+            xs = [edge + s * ti ** p for ti in new]
+            for ti, v, r in zip(new, xs, rho(np.array(xs)).tolist()):
+                seen[ti] = r * v ** k * p * ti ** (p - 1.0)
             return np.array([seen[ti] for ti in t])
 
         if f > 0.0 and near == f:  # the floor strip lies below ``top``
@@ -713,7 +725,7 @@ def density_source(poly):
     """
     lo, hi = support_edges(poly)
     atom, p_lo, f_lo = poly._cache["support"][2:]
-    ev = _evaluator(poly, hi)
+    ev = _evaluator(poly, lo, hi)
 
     def rho(x):
         return _inverted_density(ev, lo, hi, x)
@@ -796,4 +808,4 @@ def potential_derivative(poly, x):
     outside = [v for v in np.atleast_1d(x).tolist() if not lo < v < hi]
     if outside:
         raise DomainError(f"x={outside[0]} is outside the open support ({lo}, {hi})")
-    return 2.0 * _evaluator(poly, hi).boundary_green(x).real
+    return 2.0 * _evaluator(poly, lo, hi).boundary_green(x).real

@@ -146,9 +146,9 @@ class TestBranchTracking:
         # the Herglotz test accepts the physical root only when roots are
         # accurate to the residual floor, not to eigensolver accuracy
         poly = M.build_resolvent(M.boxtimes(M.mp(F(3, 5)), M.mp(F(3, 4))))
-        hi = R.support_edges(poly)[1]
+        lo, hi = R.support_edges(poly)
         for x in (5.25e-11, 1e-9):
-            g = R._evaluator(poly, hi).boundary_green(x)
+            g = R._evaluator(poly, lo, hi).boundary_green(x)
             assert abs(g.imag) < 1e-8
 
     @pytest.mark.parametrize("expr", ["mp(1)^2", "as*mp(1)^2", "mp(1)^(1/3)",
@@ -200,6 +200,37 @@ class TestBranchTracking:
         tracker = R.BranchTracker(mp_poly, seed=complex(2.0, 1e6))
         tracker.move_to(complex(2.0, 1e-7))
         assert tracker.move_to(z, roots=[want.conjugate()]) == want
+
+    @pytest.mark.parametrize("expr", ["mp(1)^(1/3)", "as*mp(2)"])
+    def test_slope_is_the_derivative_of_the_tracked_branch(self, expr):
+        poly = M.build_resolvent(grammar.parse_measure(expr))
+        lo, hi = R.support_edges(poly)
+        for frac in (0.3, 0.7):
+            z, h = complex(lo + frac * (hi - lo), 0.0), 1e-5 * (hi - lo)
+            tracker = R.BranchTracker(poly, seed=complex(z.real, 50.0))
+            slope = tracker._slope(tracker.move_to(z), z)
+            diff = (tracker.move_to(z + h) - tracker.move_to(z - h)) / (2.0 * h)
+            assert abs(slope - diff) <= 1e-8 * abs(diff), (expr, frac)
+
+    def test_a_step_evaluates_the_coefficients_once(self, fc3_poly, monkeypatch):
+        # an accepted step's slope comes from the float columns, not from
+        # a second coefficient row: two wcoeffs_at per roots_at before
+        tracker = R.BranchTracker(fc3_poly, seed=complex(3.0, 50.0))
+        calls = {"roots": 0, "coeffs": 0}
+        roots_at, wcoeffs_at = R.roots_at, M.ResolventPolynomial.wcoeffs_at
+
+        def counting_roots(*args, **kwargs):
+            calls["roots"] += 1
+            return roots_at(*args, **kwargs)
+
+        def counting_coeffs(self, z):
+            calls["coeffs"] += 1
+            return wcoeffs_at(self, z)
+
+        monkeypatch.setattr(R, "roots_at", counting_roots)
+        monkeypatch.setattr(M.ResolventPolynomial, "wcoeffs_at", counting_coeffs)
+        tracker.move_to(complex(3.0, 0.0))
+        assert calls["roots"] > 0 and calls["coeffs"] == calls["roots"]
 
     def test_path_independence(self, fc3_poly):
         # vertical descent vs L-shaped route reach the same branch
@@ -307,6 +338,16 @@ class TestStackedSolves:
             fresh = M.build_resolvent(spec)
             fresh._cache["support"] = poly._cache["support"]
             assert R.potential_derivative(fresh, x) == v, x
+
+    @pytest.mark.parametrize("expr", ["mp(1)*mp(1/2)", "as*mp(2)", "mp(1/4)^(1/3)"])
+    def test_integral_is_the_pointwise_integral(self, expr):
+        # each cubature batch takes its root sets from one stacked solve
+        source = R.density_source(M.build_resolvent(grammar.parse_measure(expr)))
+        pointwise = dataclasses.replace(source, density=lambda x: (
+            np.array([source.density(v) for v in x.tolist()]) if np.ndim(x)
+            else source.density(x)))
+        for k in range(4):
+            assert R.integral(source, k) == R.integral(pointwise, k), k
 
     def test_sampling_solves_each_level_once(self, monkeypatch):
         # about 1,035 solves when each point solves its own roots
@@ -450,18 +491,27 @@ class TestDensityCurve:
 
 class TestDensitySource:
     def test_quadrature_sweeps_the_trackers(self, monkeypatch):
-        # nodes evaluated in ascending x move the evaluator's trackers; in
-        # QUADPACK's alternating order this measure seeded 214 of them
-        seeded = []
-        init = R.BranchTracker.__init__
+        # batches walk away from each edge and re-seed only beyond a tenth
+        # of the support width; walking toward the upper edge and
+        # re-seeding beyond 0.1 max(1, |x|) seeded 19 trackers and made
+        # 412 scalar solves, and QUADPACK's alternating order 214 seeds
+        seeded, scalar = [], []
+        init, roots_at = R.BranchTracker.__init__, R.roots_at
 
         def counting_init(self, *args, **kwargs):
             seeded.append(1)
             init(self, *args, **kwargs)
 
+        def counting_roots(poly, z, *args, **kwargs):
+            if not isinstance(z, np.ndarray):
+                scalar.append(1)
+            return roots_at(poly, z, *args, **kwargs)
+
         monkeypatch.setattr(R.BranchTracker, "__init__", counting_init)
+        monkeypatch.setattr(R, "roots_at", counting_roots)
         R.density_source(M.build_resolvent(M.mp(F(1, 3)) * M.mp(F(1, 2))))
-        assert 0 < len(seeded) <= 107
+        assert 0 < len(seeded) <= 10
+        assert len(scalar) <= 300
 
     def test_quadrature_evaluates_each_node_once(self, monkeypatch):
         # cubature asks for overlapping node sets; at 320 evaluations it
