@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from freeconv import measures, resolvent, closedform
+from freeconv import closedform, measures, moments, resolvent
 
 # The Fuss-Catalan measure of order three: product of three free
 # Marchenko-Pastur factors, S(w) = (1 + w)^-3.
@@ -37,7 +37,7 @@ curve = resolvent.density_curve(poly, n_points=256)
 with open("fc3_density.csv", "w") as fh:
     fh.write(curve.to_csv())
 print("wrote fc3_density.csv with", len(curve.points), "points;",
-      "mass =", f"{curve.mass():.10f}")
+      "mass =", f"{moments.moments_from_density(curve, 0)[0]:.10f}")
 
 # fractional free powers work the same way; here the free square root,
 # whose cleared equation carries z^2

@@ -36,10 +36,7 @@ def _emit(text, out_path):
 def _curve_for(target, n_points, edge_margin):
     fam, spec = grammar.parse_target(target)
     if fam is not None:
-        return resolvent.curve_from_callable(
-            fam.density, fam.support, fam.atom,
-            n_points=n_points, edge_margin=edge_margin,
-            edge_powers=fam.edge_powers)
+        return resolvent.curve_from_callable(fam, n_points, edge_margin)
     return resolvent.density_curve(measures.build_resolvent(spec), n_points=n_points,
                                    edge_margin=edge_margin)
 

@@ -17,24 +17,24 @@ Families and supports:
     bures     arcsine x mp(1) on [0, 3 sqrt(3)]
     bures2    arcsine x mp(1)^2 on [0, 8]
 
-A ``Family`` is a ``resolvent.DensitySource``: for a divergence
-d^(-alpha) at distance d from an edge, ``edge_powers`` holds a power
-p >= 1/(1 - alpha) (2 at a vanishing edge) for the substitution
-x = edge +- t^p, and its ``edge_floors`` are zero, the formulas being
-exact up to the edges.
+A ``Family`` is a ``resolvent.DensitySource`` with a name and the
+equivalent measure: for a divergence d^(-alpha) at distance d from an
+edge, ``edge_powers`` holds a power p >= 1/(1 - alpha) (2 at a
+vanishing edge) for the substitution x = edge +- t^p, and its
+``edge_floors`` are zero, the formulas being exact up to the edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 from . import measures
-from .resolvent import integral, tabulated_cdf
+from .resolvent import DensitySource, integral, tabulated_cdf
 
 __all__ = ["Family", "family", "all_families", "cdf", "cdf_interpolator",
            "mass_and_mean"]
@@ -42,25 +42,25 @@ __all__ = ["Family", "family", "all_families", "cdf", "cdf_interpolator",
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class Family:
-    """A measure with an elementary density formula."""
+@dataclass(frozen=True, eq=False)
+class Family(DensitySource):
+    """A density source with an elementary density formula."""
 
     name: str
-    support: tuple
-    atom: float
     measure: object  # equivalent MeasureSpec, for cross-module checks
-    edge_powers: tuple
-    _density: object = field(repr=False, compare=False, default=None)
-    edge_floors = (0.0, 0.0)
 
-    def density(self, x):
-        """The density at a scalar x, or over a 1-D array of x; 0 off the
-        open support."""
-        lo, hi = self.support
+
+def _family(name, support, atom, formula, measure, edge_powers):
+    """The family whose density is the scalar ``formula`` on the open
+    support, 0 off it, at a scalar x or over a 1-D array of x."""
+    lo, hi = support
+
+    def density(x):
         xs = np.asarray(x, dtype=float)
-        rho = [0.0 if v <= lo or v >= hi else self._density(v) for v in xs.ravel().tolist()]
+        rho = [0.0 if v <= lo or v >= hi else formula(v) for v in xs.ravel().tolist()]
         return np.array(rho) if xs.ndim else rho[0]
+
+    return Family(support, atom, density, edge_powers, (0.0, 0.0), name, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +157,10 @@ def _bures2_density(x):
 def _mp_family(c):
     measure = measures.mp(c)  # DomainError unless c > 0
     c = measures._rational_coerce(c)
-    (lo, hi), rho = _mp_density(c)
-    p_lo = 2.0  # x^(-1/2) divergence at c = 1, square-root vanishing otherwise
-    return Family(
-        name=f"mp({c})",
-        support=(lo, hi),
-        atom=float(max(0, 1 - 1 / c)),  # the formula carries mass min(1, 1/c)
-        measure=measure,
-        edge_powers=(p_lo, 2.0),
-        _density=rho,
-    )
+    support, rho = _mp_density(c)
+    # x^(-1/2) divergence at c = 1, square-root vanishing otherwise: p = 2 at both
+    # edges; the formula carries mass min(1, 1/c)
+    return _family(f"mp({c})", support, float(max(0, 1 - 1 / c)), rho, measure, (2.0, 2.0))
 
 
 _FIXED = {
@@ -187,38 +181,26 @@ _FIXED = {
 }
 
 
-def family(name, c=None):
+def family(name):
     """Look up a closed-form family by name.
 
     Accepts the fixed aliases ('as', 'fc2', 'fc3', 'mp-sqrt', 'mp-cbrt',
-    'bures', 'bures2') and 'mp' with the rectangularity passed either
-    as the ``c`` argument or inline like 'mp(1/4)'.
+    'bures', 'bures2') and 'mp' with its rectangularity inline, like
+    'mp(1/4)'.
     """
     key = name.strip().lower()
     if key.startswith("mp(") and key.endswith(")"):
         return _mp_family(key[3:-1])
-    if key == "mp":
-        return _mp_family(1 if c is None else c)
     if key in _FIXED:
-        sup, rho, spec, powers = _FIXED[key]
-        return Family(name=key, support=sup, atom=0.0, measure=spec,
-                      edge_powers=powers, _density=rho)
+        support, rho, spec, powers = _FIXED[key]
+        return _family(key, support, 0.0, rho, spec, powers)
     raise DomainError(f"unknown closed-form family {name!r}")
 
 
 def all_families():
-    """The nine families used throughout the cross-validation suite."""
-    return [
-        _mp_family(1),
-        _mp_family(Fraction(1, 4)),
-        family("as"),
-        family("fc2"),
-        family("fc3"),
-        family("mp-sqrt"),
-        family("mp-cbrt"),
-        family("bures"),
-        family("bures2"),
-    ]
+    """The nine families used throughout the cross-validation suite:
+    mp(1), mp(1/4) and the seven fixed aliases."""
+    return [_mp_family(1), _mp_family(Fraction(1, 4))] + [family(key) for key in _FIXED]
 
 
 # ---------------------------------------------------------------------------

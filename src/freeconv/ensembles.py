@@ -102,7 +102,6 @@ class EmpiricalSpectrum:
 
     values: np.ndarray
     zero_count: int
-    config: EnsembleConfig = field(compare=False, default=None)
     rng_info: str = field(compare=False, default=RNG_INFO)
 
     def atom_fraction(self):
@@ -255,7 +254,7 @@ def simulate(cfg):
             raise ConvergenceError(f"eigenvalue {worst:.2e} below the clipping floor")
         values = np.where(neg, 0.0, values)
     zero_count = int((values <= _ZERO_RTOL * values.max()).sum()) if values.max() > 0 else len(values)
-    return EmpiricalSpectrum(values=values, zero_count=zero_count, config=cfg)
+    return EmpiricalSpectrum(values=values, zero_count=zero_count)
 
 
 def ks_distance(spectrum, model_cdf):

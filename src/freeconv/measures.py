@@ -339,15 +339,6 @@ class ResolventPolynomial:
     def w_degree(self):
         return max(len(self.a0), len(self.aq)) - 1
 
-    @property
-    def z_degree(self):
-        return self.clearing_power
-
-    def coeff(self, i, j):
-        """Exact coefficient of w^i z^j."""
-        col = self.a0 if j == 0 else self.aq if j == self.clearing_power else ()
-        return col[i] if 0 <= i < len(col) else Fraction(0)
-
     @cached_property
     def float_columns(self):
         """(a0, aq) as float arrays of length ``w_degree + 1``, converted
@@ -366,20 +357,9 @@ class ResolventPolynomial:
         with np.errstate(over="ignore", invalid="ignore"):
             return f0 + np.power(z, self.clearing_power) * fq
 
-    def coefficient_scale_at(self, z):
-        zp = max(1.0, abs(complex(z))) ** self.clearing_power
-        return float(max(np.abs(f).max() for f in self.float_columns)) * zp
-
-    def __call__(self, w, z):
-        w = complex(w)
-        out = 0j
-        for c in reversed(self.wcoeffs_at(z).tolist()):
-            out = out * w + c
-        return out
-
     def __repr__(self):
         src = self.source.label() if self.source is not None else "?"
-        return (f"ResolventPolynomial(deg_w={self.w_degree}, deg_z={self.z_degree}, "
+        return (f"ResolventPolynomial(deg_w={self.w_degree}, deg_z={self.clearing_power}, "
                 f"q={self.clearing_power}, source={src!r})")
 
 

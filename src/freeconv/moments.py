@@ -329,13 +329,14 @@ def boxtimes_moments(ma, mb, K):
 # numeric moments of a sampled density curve
 # ---------------------------------------------------------------------------
 
-def moments_from_density(curve, K):
-    """Quadrature moments m_0..m_K of a density curve, as floats.
+def moments_from_density(source, K):
+    """Quadrature moments m_0..m_K of any density source, as floats.
 
-    Each moment is ``resolvent.curve_integral`` of the curve's density
-    source; the atom at zero contributes to m_0 only.
+    Each moment is ``resolvent.curve_integral`` of the source (a
+    ``closedform.Family``, a ``resolvent.density_source`` or a sampled
+    curve); the atom at zero contributes to m_0 only.
     """
     from .resolvent import curve_integral
 
-    return [curve_integral(curve, k) + (curve.atom_at_zero if k == 0 else 0.0)
+    return [curve_integral(source, k) + (source.atom if k == 0 else 0.0)
             for k in range(K + 1)]

@@ -57,8 +57,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-SEED_HEIGHT = 1e6
-
 
 # ---------------------------------------------------------------------------
 # root finding
@@ -94,15 +92,14 @@ def _polished(coeffs, eig, scale, z):
     return roots
 
 
-def roots_at(poly, z, return_info=False):
+def roots_at(poly, z):
     """All complex roots of P(., z), with residuals below
     1e-12 times the coefficient magnitude scale.
 
     The roots are the eigenvalues of the companion matrix (LAPACK,
     balanced), each polished by one Newton step.  If the leading
-    w-coefficients vanish at this z the polynomial degree drops; the
-    remaining lower-degree root set is returned and the number of
-    dropped roots is reported through ``return_info``.
+    w-coefficients vanish at this z the polynomial degree drops, and the
+    remaining lower-degree root set is returned.
     DegreeDropError is raised only if every coefficient vanishes,
     NoConvergence when the coefficients at z are not finite or a
     residual is too large.
@@ -124,7 +121,6 @@ def roots_at(poly, z, return_info=False):
     n = len(coeffs) - 1
     while n > 0 and mags[n] <= 1e-13 * scale:
         n -= 1
-    dropped = len(coeffs) - 1 - n
     coeffs = coeffs[:n + 1]
     companion = np.zeros((n, n), dtype=complex)
     companion[:1] = -coeffs[-2::-1] / coeffs[-1]  # the first row, if any
@@ -133,10 +129,7 @@ def roots_at(poly, z, return_info=False):
         eig = np.linalg.eigvals(companion).tolist()
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"companion eigenvalues failed at z={z}: {exc}") from exc
-    roots = _polished(coeffs, eig, scale, z)
-    if return_info:
-        return roots, {"degree_dropped": dropped}
-    return roots
+    return _polished(coeffs, eig, scale, z)
 
 
 def _root_rows(poly, z):
@@ -196,7 +189,7 @@ class BranchTracker:
     Single-owner mutable state: use one tracker per thread.
     """
 
-    def __init__(self, poly, seed=None):
+    def __init__(self, poly, seed):
         self.poly = poly
         # w ~ m1/z at large |z|, where a0(0) + aq[q] m1^q = 0
         q = poly.clearing_power
@@ -204,7 +197,7 @@ class BranchTracker:
         if not lead or -poly.a0[0] / lead <= 0:
             raise BranchAmbiguity("P(w, z) has no asymptote w ~ m1/z with m1 > 0")
         m1 = float(-poly.a0[0] / lead) ** (1.0 / q)
-        z0 = complex(seed) if seed is not None else SEED_HEIGHT * 1j
+        z0 = complex(seed)
         if abs(z0) < 50.0:
             raise DomainError("tracker seed must sit at large |z| (asymptotic sheet)")
         roots = roots_at(self.poly, z0)
@@ -537,18 +530,20 @@ def support_edges(poly):
 # ---------------------------------------------------------------------------
 
 def density(poly, x, edge_margin=0.01):
-    """Spectral density at real x by Stieltjes inversion.
+    """Spectral density at a real scalar x, or over a 1-D array of x
+    visited in order, by Stieltjes inversion.
 
     Evaluates Im G at x + i0 on the real axis, as ``density_source``
     does.
     Returns 0 outside the support.
-    Emits EdgeWarning when x falls within ``edge_margin`` of a support
-    edge (fraction of the support width); the value is still returned.
+    Emits one EdgeWarning when any x lies within ``edge_margin`` of an
+    edge (fraction of the support width); the values are still returned.
     """
     lo, hi = support_edges(poly)
-    width = hi - lo
-    if lo < x < lo + edge_margin * width or hi - edge_margin * width < x < hi:
-        warnings.warn(f"density at x={x} is within the {edge_margin:.0%} edge margin",
+    a, b = lo + edge_margin * (hi - lo), hi - edge_margin * (hi - lo)
+    near = [v for v in np.atleast_1d(x).tolist() if lo < v < a or b < v < hi]
+    if near:
+        warnings.warn(f"density at x={near[0]} is within the {edge_margin:.0%} edge margin",
                       EdgeWarning, stacklevel=2)
     return _inverted_density(_evaluator(poly, lo, hi), lo, hi, x)
 
@@ -563,8 +558,9 @@ _CDF_NODES = 1024
 
 @dataclass(frozen=True, eq=False)
 class DensitySource:
-    """A density as ``integral`` and ``tabulated_cdf`` read it;
-    ``closedform.Family`` has the same attributes.
+    """A density as ``integral`` and ``tabulated_cdf`` read it: the
+    continued density of ``density_source``, or a ``closedform.Family``,
+    which is a density source with a closed-form density.
 
     ``density(x)`` is the continuous density on the open ``support``
     (lo, hi), at a scalar x or over a 1-D array of x (a grid, a CDF
@@ -676,23 +672,12 @@ class DensityCurve(DensitySource):
     """A density source with its density sampled inside the support.
 
     ``points`` is a tuple of (x, rho) pairs on a grid clustered toward
-    the support edges; ``atom_at_zero`` is the weight of a point mass
-    at the origin, for a continued density the exact 1 + w0 of
-    ``support_edges``.
+    the support edges; ``atom``, the weight of a point mass at the
+    origin (for a continued density the exact 1 + w0 of
+    ``support_edges``), is written as ``atom_at_zero`` in JSON.
     """
 
     points: tuple
-
-    @property
-    def atom_at_zero(self):
-        return self.atom
-
-    def xs(self):
-        return np.array([p[0] for p in self.points])
-
-    def mass(self):
-        """Atom weight plus quadrature of the continuous part."""
-        return self.atom + curve_integral(self, 0)
 
     def to_csv(self):
         lines = ["x,rho"]
@@ -704,7 +689,7 @@ class DensityCurve(DensitySource):
 
         return json.dumps({
             "support": [self.support[0], self.support[1]],
-            "atom_at_zero": self.atom_at_zero,
+            "atom_at_zero": self.atom,
             "points": [[x, r] for x, r in self.points],
         })
 
@@ -777,16 +762,10 @@ def density_curve(poly, n_points=512, edge_margin=0.01):
     return _sampled(density_source(poly), n_points, edge_margin)
 
 
-def curve_from_callable(density_fn, support, atom=0.0, n_points=512,
-                        edge_margin=0.01, edge_powers=(2.0, 2.0)):
-    """Assemble a DensityCurve from a density callable (for measures
-    with a closed form, such as ``Family.density``; it takes a scalar or
-    a 1-D array) on the same cosine-clustered grid used by
-    ``density_curve``."""
+def curve_from_callable(source, n_points=512, edge_margin=0.01):
+    """Any density source, such as a ``closedform.Family``, sampled on
+    the grid of ``density_curve``."""
     _check_grid(n_points, edge_margin)
-    lo, hi = support
-    source = DensitySource((float(lo), float(hi)), float(atom), density_fn,
-                           tuple(edge_powers), (0.0, 0.0))
     return _sampled(source, n_points, edge_margin)
 
 

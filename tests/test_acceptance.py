@@ -30,12 +30,7 @@ def report(number, ok, detail):
     assert ok, detail
 
 
-def rows(poly):
-    return [[poly.coeff(i, j) for j in range(poly.z_degree + 1)]
-            for i in range(poly.w_degree + 1)]
-
-
-def test_criterion_1_resolvent_construction_exactness():
+def test_criterion_1_resolvent_construction_exactness(coefficient_rows):
     """The cleared polynomials match the printed equations coefficient
     for coefficient, in exact arithmetic."""
     t0 = time.monotonic()
@@ -66,7 +61,7 @@ def test_criterion_1_resolvent_construction_exactness():
     ]
     bad = []
     for spec, want in cases:
-        got = rows(M.build_resolvent(spec))
+        got = coefficient_rows(M.build_resolvent(spec))
         if got != [[F(v) for v in row] for row in want]:
             bad.append(spec.label())
     elapsed = time.monotonic() - t0
@@ -170,7 +165,7 @@ def test_criterion_6_mass_and_atoms():
                                 n_points=64)
         cont = R.curve_integral(curve, 0)
         ok = ok and abs(cont - target) < 1e-3
-        ok = ok and abs(curve.atom_at_zero - (1 - target)) < 1e-3
+        ok = ok and abs(curve.atom - (1 - target)) < 1e-3
         details.append(f"c={c}: continuous mass {cont:.5f} (target {target})")
     report(6, ok, "; ".join(details))
 
@@ -264,7 +259,7 @@ def test_criterion_10_property_suite():
         # Herglotz sign on approach to the axis
         xs = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 100))
         for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
-            tracker = R.BranchTracker(poly, seed=complex(xs[0], R.SEED_HEIGHT))
+            tracker = R.BranchTracker(poly, seed=complex(xs[0], 1e6))
             for x in xs:
                 w = tracker.move_to(complex(float(x), eps))
                 g = (1.0 + w) / complex(float(x), eps)
@@ -285,10 +280,10 @@ def test_criterion_10_property_suite():
         # continuation is path independent (vertical vs L-shaped)
         for _ in range(100):
             x = float(rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo)))
-            t1 = R.BranchTracker(poly, seed=complex(x, R.SEED_HEIGHT))
+            t1 = R.BranchTracker(poly, seed=complex(x, 1e6))
             w1 = t1.move_to(complex(x, 1e-7))
-            t2 = R.BranchTracker(poly, seed=R.SEED_HEIGHT * 1j)
-            t2.move_to(complex(x, R.SEED_HEIGHT))
+            t2 = R.BranchTracker(poly, seed=1e6j)
+            t2.move_to(complex(x, 1e6))
             w2 = t2.move_to(complex(x, 1e-7))
             if abs(w1 - w2) > 1e-9:
                 ok = False

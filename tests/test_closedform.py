@@ -42,6 +42,12 @@ class TestPointValues:
         with pytest.raises(DomainError):
             C.family("nope")
 
+    def test_every_family_is_a_density_source(self):
+        for fam in C.all_families():
+            assert isinstance(fam, R.DensitySource), fam.name
+            xs = np.linspace(fam.support[0] - 0.5, fam.support[1] + 0.5, 41)
+            assert fam.density(xs).tolist() == [fam.density(x) for x in xs.tolist()]
+
 
 class TestSupports:
     def test_exact_values(self):

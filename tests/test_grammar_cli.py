@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from freeconv import cli, grammar
+from freeconv import closedform as C
 from freeconv import measures as M
+from freeconv import resolvent as R
 from freeconv.errors import ParseError
 
 
@@ -89,6 +91,12 @@ class TestCli:
         a, b = parse(out_alias), parse(out_expr)
         assert np.abs(a[:, 0] - b[:, 0]).max() < 1e-8   # same grid from same support
         assert np.abs(a[:, 1] - b[:, 1]).max() < 1e-6   # closed form vs resolvent
+
+    def test_alias_density_is_the_sampled_family(self, capsys):
+        code, out, _ = self.run(
+            ["density", "--measure", "fc3", "--points", "64", "--format", "json"], capsys)
+        assert code == 0
+        assert out == R.curve_from_callable(C.family("fc3"), 64).to_json() + "\n"
 
     def test_support_json(self, capsys):
         code, out, _ = self.run(

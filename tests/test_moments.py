@@ -207,9 +207,7 @@ class TestMomentsFromDensity:
         from freeconv import resolvent as R
 
         for fam in C.all_families():
-            curve = R.curve_from_callable(fam.density, fam.support, fam.atom,
-                                          n_points=16,
-                                          edge_powers=fam.edge_powers)
+            curve = R.curve_from_callable(fam, n_points=16)
             exact = Mo.moments_from_resolvent(
                 M.build_resolvent(fam.measure), 6)
             got = Mo.moments_from_density(curve, 6)
