@@ -12,9 +12,9 @@ Green's function of the measure is recovered from the functional
 equation  z * w(z) * S(w(z)) = 1 + w(z);  clearing denominators and
 fractional powers turns that equation into a bivariate polynomial
 P(w, z) = a0(w) + z^q aq(w) = 0 with exact rational coefficients.
-Only this module builds the two z-columns a0 and aq; the resolvent
-module solves P numerically and the moments module expands it as a
-series at infinity.
+Only this module builds the two z-columns a0 and aq, coprime; the
+resolvent module solves that one P numerically, reads its support edges
+off it, and the moments module expands it as a series at infinity.
 """
 
 from __future__ import annotations
@@ -46,30 +46,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# exact univariate polynomial helpers (ascending coefficients, Fractions)
+# exact univariate polynomials: ascending Fraction arrays (dtype object), on
+# which the numpy polynomial routines compute exactly; numpy.polynomial is
+# imported on first use only
 # ---------------------------------------------------------------------------
 
-def _as_fractions(coeffs):
-    return tuple(Fraction(c) for c in coeffs)
+def _polygcd(a, b):
+    """Monic greatest common divisor of two exact polynomials."""
+    while any(b):
+        a, b = b, np.polynomial.polynomial.polydiv(a, b)[1]
+    return a / a[-1]
 
 
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _ppow(a, n):
-    out = (Fraction(1),)
-    base = tuple(a)
-    while n:
-        if n & 1:
-            out = _pmul(out, base)
-        base = _pmul(base, base)
-        n >>= 1
+def _squarefree(p):
+    """Yun's square-free factorisation: [(f, k)] with p = lead * prod f^k,
+    each f monic, square-free, of positive degree, coprime to the rest."""
+    _P = np.polynomial.polynomial
+    dp = _P.polyder(p)
+    a = _polygcd(p, dp)
+    b, d = _P.polydiv(p, a)[0], _P.polydiv(dp, a)[0]
+    out, k = [], 1
+    while len(b) > 1:
+        d = _P.polysub(d, _P.polyder(b))
+        a = _polygcd(b, d)
+        if len(a) > 1:
+            out.append((a, k))
+        b, d = _P.polydiv(b, a)[0], _P.polydiv(d, a)[0]
+        k += 1
     return out
 
 
@@ -175,8 +178,8 @@ class RationalFactor:
     denom: tuple
 
     def __post_init__(self):
-        num = _as_fractions(self.numer)
-        den = _as_fractions(self.denom)
+        num = tuple(Fraction(c) for c in self.numer)
+        den = tuple(Fraction(c) for c in self.denom)
         while len(num) > 1 and num[-1] == 0:
             num = num[:-1]
         while len(den) > 1 and den[-1] == 0:
@@ -319,8 +322,8 @@ class ResolventPolynomial:
     """Bivariate polynomial P(w, z) = a0(w) + z^q aq(w), q = ``clearing_power``.
 
     ``a0`` and ``aq`` are the two nonzero z-columns of every cleared
-    equation, as ascending tuples of exact Fractions in w, with aq
-    divisible by w^q (see ``build_resolvent``).  The physical branch
+    equation, as ascending tuples of exact Fractions in w, coprime, with
+    aq divisible by w^q (see ``build_resolvent``).  The physical branch
     w(z) of the functional equation  z w S(w) = 1 + w  is a root of
     P(., z).  When the S-transform carries fractional exponents, both
     sides of the equation are raised to ``clearing_power`` before
@@ -370,26 +373,30 @@ def build_resolvent(spec):
     multiplied through by all factor denominators.  The sign convention
     keeps the (1 + w)^q side positive:
 
-        a0(w) = (1+w)^q * prod(denoms),    aq(w) = -w^q * prod(numers)
+        a0(w) = (1+w)^q * prod(denoms) / g,    aq(w) = -w^q * prod(numers) / g
 
-    so for the plain Marchenko-Pastur spec P = (1+w)(1+cw) - z w.
+    with g the monic gcd of the two products, so that a0 and aq are
+    coprime: a common factor would be a root of P(., z) at every z.
+    For the plain Marchenko-Pastur spec P = (1+w)(1+cw) - z w.
     All coefficients are exact rationals.
     """
+    _P = np.polynomial.polynomial
     q = clearing_power(spec)
-    num_side = (Fraction(1),)
-    one_side = (Fraction(1),)
+    num_side = one_side = np.array([Fraction(1)])
     for factor, expo in spec.factors:
         e = int(expo * q)
-        if e > 0:
-            num_side = _pmul(num_side, _ppow(factor.numer_coeffs(), e))
-            one_side = _pmul(one_side, _ppow(factor.denom_coeffs(), e))
-        else:
-            num_side = _pmul(num_side, _ppow(factor.denom_coeffs(), -e))
-            one_side = _pmul(one_side, _ppow(factor.numer_coeffs(), -e))
+        num, den = factor.numer_coeffs(), factor.denom_coeffs()
+        if e < 0:
+            num, den, e = den, num, -e
+        num_side = _P.polymul(num_side, _P.polypow(num, e))
+        one_side = _P.polymul(one_side, _P.polypow(den, e))
+    a0 = _P.polymul(one_side, _P.polypow((Fraction(1), Fraction(1)), q))
+    # w divides no a0, so gcd(a0, aq) = gcd(a0, num_side)
+    common = _polygcd(a0, num_side)
+    a0, num_side = _P.polydiv(a0, common)[0], _P.polydiv(num_side, common)[0]
     return ResolventPolynomial(
-        a0=_pmul(one_side, _ppow((Fraction(1), Fraction(1)), q)),
+        a0=tuple(a0),
         aq=(Fraction(0),) * q + tuple(-c for c in num_side),
         clearing_power=q,
         source=spec,
     )
-

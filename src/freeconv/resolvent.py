@@ -41,6 +41,7 @@ from .errors import (
     NoConvergence,
     QuadratureError,
 )
+from .measures import _polygcd, _squarefree
 
 __all__ = [
     "roots_at",
@@ -405,34 +406,6 @@ def _inverted_density(ev, lo, hi, x):
 # support edges
 # ---------------------------------------------------------------------------
 
-# Exact polynomials are ascending Fraction arrays (dtype object), on which
-# the numpy polynomial routines compute exactly; numpy.polynomial is
-# imported on first use only.
-def _polygcd(a, b):
-    """Monic greatest common divisor of two exact polynomials."""
-    while any(b):
-        a, b = b, np.polynomial.polynomial.polydiv(a, b)[1]
-    return a / a[-1]
-
-
-def _squarefree(p):
-    """Yun's square-free factorisation: [(f, k)] with p = lead * prod f^k,
-    each f monic, square-free, of positive degree, coprime to the rest."""
-    _P = np.polynomial.polynomial
-    dp = _P.polyder(p)
-    a = _polygcd(p, dp)
-    b, d = _P.polydiv(p, a)[0], _P.polydiv(dp, a)[0]
-    out, k = [], 1
-    while len(b) > 1:
-        d = _P.polysub(d, _P.polyder(b))
-        a = _polygcd(b, d)
-        if len(a) > 1:
-            out.append((a, k))
-        b, d = _P.polydiv(b, a)[0], _P.polydiv(d, a)[0]
-        k += 1
-    return out
-
-
 def _real_roots(f):
     """The real roots of a square-free exact polynomial, as floats; the
     root w = -1 that every a0 carries is recognised exactly."""
@@ -460,8 +433,8 @@ def support_edges(poly):
       a gap); then the nearest critical point below w0, else w -> -inf.
 
     Identity and multiplicity of every root are decided in exact
-    arithmetic, after dividing out gcd(a0, aq); only the values of
-    simple roots are floats.  Any other critical value inside (lo, hi)
+    arithmetic, on the coprime a0 and aq; only the values of simple
+    roots are floats.  Any other critical value inside (lo, hi)
     is a possible interior edge: MultiIntervalError when the physical
     branch reaches that critical point there.  DomainError when the
     support is unbounded or has no interior.
@@ -479,8 +452,6 @@ def support_edges(poly):
         return cached[:2]
     q, _P = poly.clearing_power, np.polynomial.polynomial
     a0, aq = np.polynomial.polyutils.as_series([poly.a0, poly.aq])
-    common = _polygcd(a0, aq)
-    a0, aq = _P.polydiv(a0, common)[0], _P.polydiv(aq, common)[0]
     fa0, faq = a0.astype(float), aq.astype(float)
 
     def x_at(h):
