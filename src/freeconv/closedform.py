@@ -113,23 +113,25 @@ def _mp_sqrt_density(x):
     return _MPSQRT_C1 * t1 + _MPSQRT_C2 * t2
 
 
-# Above x^3 = 6 + 2 sqrt(3) the nested-radical contribution continues on the
-# opposite sign of its absolute value; with |.| alone the density would fail
-# to vanish at the upper edge and carry ~1.4e-5 spurious mass.
 _MPCBRT_FLIP = 6.0 + 2.0 * math.sqrt(3.0)
 
 
 def _mp_cbrt_density(x):
-    x3 = x ** 3
+    """The paper's formula with t = x^3 and y the root of y^3 - 4ty - t^2 = 0
+    taken here.  Its nested term t (24 - 12t + t^2) / (4 sqrt(y - 2t + t^2/4))
+    is a removable 0/0 at t = 6 - 2 sqrt(3); modulo the cubic its square is
+    exactly (t^4 - 16t^3 - 4t^2 y + 64t^2 + 32ty - 64t + 16y^2) / 4, evaluated
+    here without the cancellation.  Above t = 6 + 2 sqrt(3) the term takes the
+    negative root: with + alone the density would fail to vanish at the upper
+    edge and carry ~1.4e-5 spurious mass."""
+    t = x ** 3
     arg = 3.0 * math.sqrt(3.0) * x ** 1.5 / 16.0
     y = (4.0 / math.sqrt(3.0)) * x ** 1.5 * math.cos(math.acos(min(arg, 1.0)) / 3.0)
-    inner = y - 2.0 * x3 + 0.25 * x3 * x3
-    if inner <= 0.0:
-        return 0.0
-    term = abs(x3 * (24.0 - 12.0 * x3 + x3 * x3) / (4.0 * math.sqrt(inner)))
-    if x3 > _MPCBRT_FLIP:
+    term = 0.5 * math.sqrt(max(t * (t * (t * (t - 16.0) - 4.0 * y + 64.0) + 32.0 * y - 64.0)
+                               + 16.0 * y * y, 0.0))
+    if t > _MPCBRT_FLIP:
         term = -term
-    rad = y + 4.0 * x3 - 0.5 * x3 * x3 + term
+    rad = y + 4.0 * t - 0.5 * t * t + term
     return math.sqrt(max(rad, 0.0)) / (2.0 * _PI * x)
 
 

@@ -408,7 +408,7 @@ def _inverted_density(ev, lo, hi, x):
 
 def _real_roots(f):
     """The real roots of a square-free exact polynomial, as floats; the
-    root w = -1 that every a0 carries is recognised exactly."""
+    root w = -1 that a0 carries from (1 + w)^q is recognised exactly."""
     roots = np.polynomial.polynomial.polyroots(f.astype(float)).tolist()
     real = [r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r))]
     if np.polynomial.polynomial.polyval(-1, f) == 0:
@@ -434,7 +434,11 @@ def support_edges(poly):
 
     Identity and multiplicity of every root are decided in exact
     arithmetic, on the coprime a0 and aq; only the values of simple
-    roots are floats.  Any other critical value inside (lo, hi)
+    roots are floats.  The multiple zeros of a0 (critical value 0) and
+    of aq (poles) are no critical points, and h is a product of the
+    square-free factors of a0 and aq, never their expanded columns,
+    which lose the digits of h beside a cluster of roots.  Any other
+    critical value inside (lo, hi)
     is a possible interior edge: MultiIntervalError when the physical
     branch reaches that critical point there.  DomainError when the
     support is unbounded or has no interior.
@@ -452,24 +456,26 @@ def support_edges(poly):
         return cached[:2]
     q, _P = poly.clearing_power, np.polynomial.polynomial
     a0, aq = np.polynomial.polyutils.as_series([poly.a0, poly.aq])
-    fa0, faq = a0.astype(float), aq.astype(float)
+    sf0, lead = _squarefree(a0), -float(a0[-1] / aq[-1])
+    factors = [(f.astype(float), k) for f, k in sf0] + [
+        (g.astype(float), -j) for g, j in _squarefree(aq)]
 
     def x_at(h):
         return h ** (1.0 / q) if h >= 0.0 else math.nan
 
     def x_crit(w):
-        return x_at(-_P.polyval(w, fa0) / _P.polyval(w, faq))
+        return x_at(lead * math.prod(_P.polyval(w, f) ** k for f, k in factors))
 
     def x_limit(sign):  # x(w) as w -> sign * inf
         d = len(a0) - len(aq)
-        lead = -float(a0[-1] / aq[-1]) * sign ** d
-        return x_at(lead if d == 0 else 0.0 if d < 0 else math.copysign(math.inf, lead))
+        h = lead * sign ** d
+        return x_at(h if d == 0 else 0.0 if d < 0 else math.copysign(math.inf, h))
 
     dh = _P.polysub(_P.polymul(_P.polyder(a0), aq), _P.polymul(a0, _P.polyder(aq)))
-    # the poles of h (multiple roots of aq) are no critical points
+    # multiple zeros of a0 (h = 0) and of aq (poles of h) are no critical points
     crit = sorted(w for f, _ in _squarefree(dh)
-                  for w in _real_roots(_P.polydiv(f, _polygcd(f, aq))[0]))
-    zeros = [(w, k) for f, k in _squarefree(a0) for w in _real_roots(f) if -1.0 <= w < 0.0]
+                  for w in _real_roots(_P.polydiv(f, _polygcd(f, _P.polymul(a0, aq)))[0]))
+    zeros = [(w, k) for f, k in sf0 for w in _real_roots(f) if -1.0 <= w < 0.0]
     if not zeros:
         raise DomainError("P(., 0) has no zero in [-1, 0), where w(0-) = mu({0}) - 1 lies")
     w0, mult = max(zeros)

@@ -136,6 +136,17 @@ class TestAgainstResolvent:
             got = R.density(poly, float(x))
             assert abs(got - fam.density(float(x))) < 1e-6 * peak
 
+    def test_every_family_on_a_fine_grid(self):
+        # mp-cbrt's nested term is a removable 0/0 at x0^3 = 6 - 2 sqrt(3)
+        x0 = (6 - 2 * math.sqrt(3)) ** (1 / 3)
+        near = [x0 * (1 + sign * 10.0 ** -k) for k in range(3, 16) for sign in (1, -1)]
+        for fam in C.all_families():
+            lo, hi = fam.support
+            xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 2001)
+            xs = np.sort(np.concatenate([xs, near])) if fam.name == "mp-cbrt" else xs
+            want = R.density(M.build_resolvent(fam.measure), xs)
+            assert np.max(np.abs(fam.density(xs) / want - 1.0)) <= 1e-10, fam.name
+
     def test_bures_half_reduces_to_mp(self):
         # arcsine x mp(1/2) has the plain Marchenko-Pastur density
         fam = C.family("mp(1)")

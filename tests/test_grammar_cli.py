@@ -200,7 +200,7 @@ class TestCli:
         assert err.startswith("error: continuous mass") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"],
+        ["support", "--measure", f"mp(1)^(1/2)*rat(1;{10 ** 320 + 1})"],
         ["density", "--measure", f"mp(1)*rat({10 ** 320 + 1};1)"],
         ["potential", "--measure", f"mp(1)*rat(1;{10 ** 320 + 1})"],
     ])
@@ -208,6 +208,13 @@ class TestCli:
         code, out, err = self.run(argv, capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+    def test_float_underflow_is_a_one_line_error(self, capsys):
+        # h = -a0/aq has the leading coefficient -1/(10^320 + 1)^2, 0.0 in floats
+        code, out, err = self.run(
+            ["support", "--measure", f"mp(1)^(1/2)*rat({10 ** 320 + 1};1)"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: no bounded continuous spectrum: the edges are 0.0 and 0.0\n"
 
     def test_simulate_json(self, capsys):
         code, out, _ = self.run(

@@ -143,6 +143,14 @@ class TestBuildResolvent:
                 value = np.polynomial.polynomial.polyval(w, poly.wcoeffs_at(z))
                 assert abs(value) <= 1e-10 * scale
 
+    def test_common_factor_is_divided_out(self):
+        # S = (w + 2)/(2 (1 + w)) * 2/(2 + w) = 1/(1 + w): a0 and aq share w + 2
+        poly = M.build_resolvent(M.boxtimes(M.arcsine(), M.mp(F(1, 2))))
+        plain = M.build_resolvent(M.mp(1))
+        assert (poly.a0, poly.aq, poly.clearing_power) == (
+            plain.a0, plain.aq, plain.clearing_power)
+        assert all(type(c) is F for c in poly.a0 + poly.aq)
+
     def test_arcsine_free_powers(self, coefficient_rows):
         # as^(1/2): (w+2) w^2 z^2 = 2 (w+1)^3; as^2: (w+2)^2 w z = 4 (w+1)^3
         half = M.build_resolvent(M.free_power(M.arcsine(), F(1, 2)))

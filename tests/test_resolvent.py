@@ -602,6 +602,59 @@ class TestExactEdges:
             assert R.density(poly, x, edge_margin=0.0) == source.density(x) > 0.0
 
 
+    def test_double_zero_of_a0_is_no_critical_point(self):
+        # w = -1/2 is a double zero of a0, whose critical value 0 evaluated
+        # to 4.4e-16 from the expanded columns: a false interior edge
+        source = R.density_source(M.build_resolvent(M.mp(2) ** 2))
+        lo, hi = source.support
+        assert lo == 0.0 and abs(hi - (11 + 5 * math.sqrt(5)) / 2) <= 1e-12 * hi
+        assert abs(source.atom - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("s, lo", [
+        # x(w) = (1 + w)(1 + w/2)^s / w at its critical point below w = -1,
+        # computed once to 50 digits
+        (F(13, 6), 0.02394574028975193407),
+        (F(18, 7), 0.01607824424128594106),
+        (F(20, 7), 0.01223801244963145915),
+    ])
+    def test_lower_edge_beside_a_root_cluster(self, s, lo):
+        # the expanded columns lost h near (1 + w)^q: 1.9e-4 off, or NaN
+        got, _ = R.support_edges(M.build_resolvent(M.mp(F(1, 2)) ** s))
+        assert abs(got - lo) <= 1e-12 * lo
+
+
+class TestFreeProjections:
+    # rat(1,1;p,1) is the law (1 - p) delta_0 + p delta_1 of a projection of
+    # trace p, and the product of two is the law of PQP for free P and Q;
+    # a0 and aq share the factor 1 + w, a root of P(., z) at every z
+    @pytest.mark.parametrize("p, q", [(F(1, 3), F(1, 2)), (F(1, 2), F(1, 2)),
+                                      (F(1, 4), F(1, 5))])
+    def test_closed_form(self, p, q):
+        spec = M.rational_factor((1, 1), (p, 1)) * M.rational_factor((1, 1), (q, 1))
+        source = R.density_source(M.build_resolvent(spec))
+        p, q = float(p), float(q)
+        mid, half = p + q - 2 * p * q, math.sqrt(4 * p * q * (1 - p) * (1 - q))
+        lo, hi = mid - half, mid + half
+        assert abs(source.support[0] - lo) <= 1e-12 and abs(source.support[1] - hi) <= 1e-12
+        assert abs(source.atom - (1 - min(p, q))) <= 1e-12
+        xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 101)
+        want = np.sqrt((hi - xs) * (xs - lo)) / (2 * math.pi * xs * (1 - xs))
+        assert np.max(np.abs(source.density(xs) / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("p, q", [(F(1, 3), F(1, 2)), (F(1, 2), F(1, 2)),
+                                      (F(1, 4), F(1, 5))])
+    def test_fresh_descent_is_the_walk(self, p, q):
+        # a fresh descent to x = hi - W/1000 landed on w = -1, where G = 0
+        spec = M.rational_factor((1, 1), (p, 1)) * M.rational_factor((1, 1), (q, 1))
+        walked = M.build_resolvent(spec)
+        lo, hi = R.support_edges(walked)
+        for x in np.linspace(0.9, 0.999, 12).tolist():
+            rho = R.density(walked, lo + x * (hi - lo), edge_margin=0.0)
+        x = lo + 0.999 * (hi - lo)
+        assert R.density(M.build_resolvent(spec), x, edge_margin=0.0) == rho
+        assert abs(rho * 2 * math.pi * x * (1 - x) / math.sqrt((hi - x) * (x - lo)) - 1) <= 1e-12
+
+
 class TestPotentialDerivative:
     def test_mp_at_two(self, mp_poly):
         assert abs(R.potential_derivative(mp_poly, 2.0) - 1.0) < 1e-9
