@@ -601,7 +601,6 @@ class TestExactEdges:
         for x in (lo + frac * (hi - lo), hi - frac * (hi - lo)):
             assert R.density(poly, x, edge_margin=0.0) == source.density(x) > 0.0
 
-
     def test_double_zero_of_a0_is_no_critical_point(self):
         # w = -1/2 is a double zero of a0, whose critical value 0 evaluated
         # to 4.4e-16 from the expanded columns: a false interior edge
@@ -638,21 +637,12 @@ class TestFreeProjections:
         assert abs(source.support[0] - lo) <= 1e-12 and abs(source.support[1] - hi) <= 1e-12
         assert abs(source.atom - (1 - min(p, q))) <= 1e-12
         xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 101)
+        xs = np.append(xs, lo + 0.999 * (hi - lo))
         want = np.sqrt((hi - xs) * (xs - lo)) / (2 * math.pi * xs * (1 - xs))
-        assert np.max(np.abs(source.density(xs) / want - 1.0)) <= 1e-12
-
-    @pytest.mark.parametrize("p, q", [(F(1, 3), F(1, 2)), (F(1, 2), F(1, 2)),
-                                      (F(1, 4), F(1, 5))])
-    def test_fresh_descent_is_the_walk(self, p, q):
-        # a fresh descent to x = hi - W/1000 landed on w = -1, where G = 0
-        spec = M.rational_factor((1, 1), (p, 1)) * M.rational_factor((1, 1), (q, 1))
-        walked = M.build_resolvent(spec)
-        lo, hi = R.support_edges(walked)
-        for x in np.linspace(0.9, 0.999, 12).tolist():
-            rho = R.density(walked, lo + x * (hi - lo), edge_margin=0.0)
-        x = lo + 0.999 * (hi - lo)
-        assert R.density(M.build_resolvent(spec), x, edge_margin=0.0) == rho
-        assert abs(rho * 2 * math.pi * x * (1 - x) / math.sqrt((hi - x) * (x - lo)) - 1) <= 1e-12
+        got = source.density(xs)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        # a fresh descent to x = hi - W/1000, after no walk, landed on w = -1
+        assert R.density(M.build_resolvent(spec), xs[-1], edge_margin=0.0) == got[-1]
 
 
 class TestPotentialDerivative:
