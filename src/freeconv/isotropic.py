@@ -1,16 +1,16 @@
 """Radial spectra of isotropic (R-diagonal) random matrices.
 
 For a large isotropic matrix X = P U (P positive, U Haar, free of P),
-the radial CDF F(r) of the complex eigenvalues of X is tied to the
-S-transform of the squared singular-value law P^2 by
-
-    S_{P^2}(F(r) - 1) = 1 / r^2,
-
-so the eigenvalues fill a centered ring whose radii come from the
-F -> 0+ and F -> 1- limits.  The module also carries the R-transform
-of sums of free Haar unitaries and the two Green's-function identities
-(square of a symmetric operator, rescaling of the argument) needed to
-pass from |U1 + ... + Uk| to the arcsine law.
+the radial CDF F(r) of the complex eigenvalues of X solves
+S(F(r) - 1) = 1 / r^2 with S the S-transform of P^2 (Haagerup-Larsen).
+S enters only through the cleared P(w, z) = a0(w) + z^q aq(w) of
+``build_resolvent``: with b = -aq / w^q, S(F - 1)^q = F^q B(F) / A(F)
+for A and B the exact shifts of a0 and b to F = 1 + w, so the eigenvalues
+fill a centered ring whose radii are exact values of that ratio at F = 1
+and F = 0+.  The module also carries the R-transform of sums of free
+Haar unitaries and the two Green's-function identities (square of a
+symmetric operator, rescaling of the argument) needed to pass from
+|U1 + ... + Uk| to the arcsine law.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NonMonotoneError
-from .measures import s_eval
+from .measures import build_resolvent
 
 __all__ = [
     "RadialProfile",
@@ -37,57 +37,64 @@ __all__ = [
 ]
 
 
-def _s_real(spec, w):
-    """S(w) for real w in (-1, 0]; the measures handled here give real
-    values there as long as no factor pole is crossed."""
-    val = s_eval(spec, complex(w, 0.0))
-    return val.real
+def _shifted(col):
+    """Exact ascending coefficients in F of col(F - 1)."""
+    return [sum(c * math.comb(k, j) * (-1) ** (k - j) for k, c in enumerate(col[j:], j))
+            for j in range(len(col))]
 
 
-def _assert_monotone(spec, n_grid=64):
-    """Pre-scan: S must be decreasing in w on (-1, 0) for the radial
-    solve to bracket.  Returns (S(-1+), S(0-)) on the scan."""
-    ws = np.linspace(-1.0 + 1e-9, -1e-9, n_grid)
-    try:
-        vals = [_s_real(spec, w) for w in ws]
-    except Exception as exc:
-        raise NonMonotoneError(f"S-transform not evaluable on (-1, 0): {exc}") from exc
-    diffs = np.diff(vals)
-    if np.any(diffs > 1e-12 * np.maximum(1.0, np.abs(vals[:-1]))):
-        raise NonMonotoneError("S-transform is not monotone decreasing on (-1, 0)")
-    return vals[0], vals[-1]
+def _radial_law(spec):
+    """((s, q, s_in, s_out), (r_in, r_out)) from the cleared P of ``spec``.
 
-
-def radial_cdf(spec, r, tol=1e-13, max_iter=200):
-    """Cumulative radial eigenvalue fraction F(r) of the isotropic matrix
-    whose squared singular-value law has the given S-transform spec.
-
-    Solves S(F - 1) = 1/r^2 by monotone bisection in F; outside the
-    ring the value clamps to 0 or 1.
+    s(F) = S(F - 1)^q = F^q B(F) / A(F) on a float array.  s_out = S(0)^q
+    = B(1)/A(1).  s_in = S(-1+)^q = B_0/A_q if F = 0 is a zero of A of
+    multiplicity exactly q and B_0/A_q > 0, else inf (a disc, r_in = 0).
+    Both ratios, and the radii S^(-1/2), are rounded once from exact values.
     """
+    poly = build_resolvent(spec)
+    q = poly.clearing_power
+    a, b = _shifted(poly.a0), _shifted([-c for c in poly.aq[q:]])
+    s_out = sum(b) / sum(a)
+    if s_out <= 0:
+        raise DomainError("S(0) must be positive")
+    ring = next(j for j, c in enumerate(a) if c) == q and b[0] / a[q] > 0
+    num, den = [0.0] * q + [float(c) for c in b], [float(c) for c in a]
+    polyval = np.polynomial.polynomial.polyval
+    return ((lambda f: polyval(f, num) / polyval(f, den), q,
+             float(b[0] / a[q]) if ring else math.inf, float(s_out)),
+            (math.sqrt(float(a[q] / b[0]) ** (1.0 / q)) if ring else 0.0,
+             math.sqrt(float(1 / s_out) ** (1.0 / q))))
+
+
+def _bracket(law, rs):
+    """F at radii ``rs`` > 0 from S(F - 1)^q = r^(-2q): one bisection of
+    all radii at once, until each midpoint is an end of its bracket, so
+    a value does not depend on the other radii.  F is 1 beyond the outer
+    radius, 0 inside the inner.  NonMonotoneError unless S^q is positive
+    and decreasing at 64 points of (0, 1) in F."""
+    s, q, s_in, s_out = law
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scan = s(np.linspace(1e-9, 1.0 - 1e-9, 64))
+        if not (np.all(np.isfinite(scan) & (scan > 0))
+                and np.all(np.diff(scan) <= 1e-12 * np.maximum(1.0, scan[:-1]))):
+            raise NonMonotoneError("S-transform is not positive and decreasing on (-1, 0)")
+        t = 1.0 / np.prod([rs * rs] * q, axis=0)
+        lo = np.where(t <= s_out, 1.0, 0.0)
+        hi = np.where((t > s_out) & (t >= s_in), 0.0, 1.0)
+        while not np.all(((mid := 0.5 * (lo + hi)) == lo) | (mid == hi)):
+            up = s(mid) > t
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return mid
+
+
+def radial_cdf(spec, r):
+    """Cumulative radial eigenvalue fraction F(r) of the isotropic matrix
+    whose squared singular-value law is ``spec``: the root of
+    S(F - 1) = 1/r^2, S read from the cleared P; it clamps to 0 or 1
+    outside the ring."""
     if r <= 0:
         return 0.0
-    return _solve_radial(spec, r, _assert_monotone(spec), tol, max_iter)
-
-
-def _solve_radial(spec, r, s_range, tol=1e-13, max_iter=200):
-    """F(r) at r > 0 by bisection, given the (S(-1+), S(0-)) of the pre-scan."""
-    s_at_m1, s_at_0 = s_range
-    target = 1.0 / (r * r)
-    if target <= s_at_0:  # r beyond the outer radius
-        return 1.0
-    if target >= s_at_m1:  # r inside the inner radius
-        return 0.0
-    a, b = 1e-15, 1.0 - 1e-15  # F bracket; S(F-1) decreasing in F
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if _s_real(spec, mid - 1.0) > target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= tol:
-            return 0.5 * (a + b)
-    raise ConvergenceError("radial bisection did not reach tolerance")
+    return float(_bracket(_radial_law(spec)[0], np.array([float(r)]))[0])
 
 
 @dataclass(frozen=True)
@@ -101,48 +108,21 @@ class RadialProfile:
 
 
 def radial_profile(spec, n_points=200):
-    """F(r) on a grid covering the ring (plus a small overhang)."""
+    """F(r) on a grid covering the ring (plus a small overhang), each
+    value equal to ``radial_cdf`` at its radius."""
     if n_points < 1:
         raise DomainError(f"point count must be at least 1, not {n_points}")
-    r_in, r_out = ring_radii(spec)
+    law, (r_in, r_out) = _radial_law(spec)
     rs = np.linspace(max(r_in * 0.5, 1e-6), r_out * 1.05, n_points)
-    s_range = _assert_monotone(spec)  # one pre-scan for the whole grid
-    fs = [_solve_radial(spec, float(r), s_range) for r in rs]
-    return RadialProfile(
-        radii=tuple(float(r) for r in rs),
-        values=tuple(fs),
-        inner_radius=r_in,
-        outer_radius=r_out,
-    )
+    fs = _bracket(law, rs)
+    return RadialProfile(tuple(rs.tolist()), tuple(fs.tolist()), r_in, r_out)
 
 
 def ring_radii(spec):
-    """(inner, outer) eigenvalue ring radii.
-
-    outer = 1/sqrt(S(0)); inner = 1/sqrt(S(-1+)) with 0 when the
-    S-transform diverges toward w = -1 (spectrum fills a disc).
-    """
-    s0 = _s_real(spec, 0.0)
-    if s0 <= 0:
-        raise DomainError("S(0) must be positive")
-    r_out = 1.0 / math.sqrt(s0)
-    s_limit = None
-    prev = None
-    for j in range(1, 44):
-        w = -1.0 + 2.0 ** (-j)
-        try:
-            val = _s_real(spec, w)
-        except Exception:
-            return 0.0, r_out
-        if val <= 0 or val > 1e12:
-            return 0.0, r_out
-        if prev is not None and abs(val - prev) <= 1e-12 * max(1.0, abs(val)):
-            s_limit = val
-            break
-        prev = val
-    if s_limit is None:
-        s_limit = prev
-    return 1.0 / math.sqrt(s_limit), r_out
+    """(inner, outer) eigenvalue ring radii: outer = S(0)^(-1/2) =
+    sqrt(m1), inner = S(-1+)^(-1/2), or 0 when S diverges toward w = -1
+    (the spectrum fills a disc)."""
+    return _radial_law(spec)[1]
 
 
 def r_sum_unitaries(k, z):

@@ -322,8 +322,9 @@ class ResolventPolynomial:
     """Bivariate polynomial P(w, z) = a0(w) + z^q aq(w), q = ``clearing_power``.
 
     ``a0`` and ``aq`` are the two nonzero z-columns of every cleared
-    equation, as ascending tuples of exact Fractions in w, coprime, with
-    aq divisible by w^q (see ``build_resolvent``).  The physical branch
+    equation, as ascending tuples of exact Fractions in w, with aq
+    divisible by w^q (see ``build_resolvent``); their monic gcd is divided
+    out on construction, so that they are coprime.  The physical branch
     w(z) of the functional equation  z w S(w) = 1 + w  is a root of
     P(., z).  When the S-transform carries fractional exponents, both
     sides of the equation are raised to ``clearing_power`` before
@@ -337,6 +338,14 @@ class ResolventPolynomial:
     clearing_power: int
     source: MeasureSpec | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a common factor of a0 and aq would be a root of P(., z) at every z
+        common = _polygcd(*np.polynomial.polyutils.as_series([self.a0, self.aq]))
+        if len(common) > 1:
+            for name in ("a0", "aq"):
+                col = np.polynomial.polynomial.polydiv(getattr(self, name), common)[0]
+                object.__setattr__(self, name, tuple(col))
 
     @property
     def w_degree(self):
@@ -373,10 +382,9 @@ def build_resolvent(spec):
     multiplied through by all factor denominators.  The sign convention
     keeps the (1 + w)^q side positive:
 
-        a0(w) = (1+w)^q * prod(denoms) / g,    aq(w) = -w^q * prod(numers) / g
+        a0(w) = (1+w)^q * prod(denoms),    aq(w) = -w^q * prod(numers),
 
-    with g the monic gcd of the two products, so that a0 and aq are
-    coprime: a common factor would be a root of P(., z) at every z.
+    less their monic gcd, which ``ResolventPolynomial`` divides out.
     For the plain Marchenko-Pastur spec P = (1+w)(1+cw) - z w.
     All coefficients are exact rationals.
     """
@@ -391,9 +399,6 @@ def build_resolvent(spec):
         num_side = _P.polymul(num_side, _P.polypow(num, e))
         one_side = _P.polymul(one_side, _P.polypow(den, e))
     a0 = _P.polymul(one_side, _P.polypow((Fraction(1), Fraction(1)), q))
-    # w divides no a0, so gcd(a0, aq) = gcd(a0, num_side)
-    common = _polygcd(a0, num_side)
-    a0, num_side = _P.polydiv(a0, common)[0], _P.polydiv(num_side, common)[0]
     return ResolventPolynomial(
         a0=tuple(a0),
         aq=(Fraction(0),) * q + tuple(-c for c in num_side),

@@ -139,21 +139,6 @@ class MomentSequence:
     def __len__(self):
         return len(self.values)
 
-    def order(self):
-        return len(self.values) - 1
-
-    def hankel_determinants(self, kmax=4):
-        """Determinants of the leading k x k Hankel matrices [m_{i+j}]
-        for k <= kmax.  Nonnegativity is a necessary condition for the
-        sequence to come from a positive measure."""
-        dets = []
-        for k in range(1, kmax + 1):
-            if 2 * (k - 1) > self.order():
-                break
-            rows = [[self.values[i + j] for j in range(k)] for i in range(k)]
-            dets.append(_det_fraction(rows))
-        return dets
-
 
 @dataclass(frozen=True)
 class CumulantSequence:
@@ -171,27 +156,6 @@ class CumulantSequence:
 
     def __len__(self):
         return len(self.values)
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from freeconv import isotropic as I
 from freeconv import measures as M
-from freeconv.errors import DomainError
+from freeconv.errors import DomainError, NonMonotoneError
 
 
 class TestRadialCdf:
@@ -32,15 +32,34 @@ class TestRadialCdf:
             assert (diffs >= -1e-12).all()
             assert prof.values[-1] == 1.0
 
+    @pytest.mark.parametrize("spec", [
+        M.boxtimes(M.arcsine(), M.mp(1)),
+        M.boxtimes(M.arcsine(), M.free_power(M.mp(1), 2)),
+        M.free_power(M.mp(1), 3),
+        M.boxtimes(M.mp(F(1, 4)), M.mp(F(1, 2))),
+    ])
+    def test_profile_solves_the_radial_law(self, spec):
+        # S(F - 1) r^2 = 1 inside the ring, against the float S-transform
+        prof = I.radial_profile(spec, 64)
+        inside = [(r, f) for r, f in zip(prof.radii, prof.values) if 1e-12 < f < 1 - 1e-12]
+        assert len(inside) > 20
+        for r, f in inside:
+            assert abs(M.s_eval(spec, f - 1.0).real * r * r - 1.0) <= 1e-9
 
-    def test_profile_scans_once(self, monkeypatch):
+    def test_profile_builds_p_once(self, monkeypatch):
         spec = M.boxtimes(M.arcsine(), M.mp(1))
         calls = []
-        scan = I._assert_monotone
-        monkeypatch.setattr(I, "_assert_monotone", lambda s: calls.append(s) or scan(s))
+        build = I.build_resolvent
+        monkeypatch.setattr(I, "build_resolvent", lambda s: calls.append(s) or build(s))
         prof = I.radial_profile(spec, n_points=16)
-        assert len(calls) == 1
+        assert calls == [spec]
         assert prof.values == tuple(I.radial_cdf(spec, r) for r in prof.radii)
+
+    @pytest.mark.parametrize("spec", [M.mp(2), M.rational_factor((2, 2), (1, 2))])
+    def test_pole_inside_the_ring_is_not_monotone(self, spec):
+        # S has a pole at w = -1/2: S^q changes sign on (0, 1) in F
+        with pytest.raises(NonMonotoneError):
+            I.radial_profile(spec, 8)
 
 
 class TestRingRadii:
@@ -48,14 +67,19 @@ class TestRingRadii:
         assert I.ring_radii(M.mp(1)) == (0.0, 1.0)
 
     def test_identity_circle(self):
-        r_in, r_out = I.ring_radii(M.identity())
-        assert abs(r_in - 1.0) < 1e-6 and r_out == 1.0
+        assert I.ring_radii(M.identity()) == (1.0, 1.0)
 
     def test_mp_quarter_annulus(self):
         # S(-1+) = 1/(1 - 1/4) is finite, so the inner radius is
         # sqrt(1 - c) = sqrt(3)/2, a genuine ring
         r_in, r_out = I.ring_radii(M.mp(F(1, 4)))
-        assert abs(r_in - math.sqrt(3) / 2) < 1e-6
+        assert abs(r_in - math.sqrt(3) / 2) <= 1e-15
+        assert r_out == 1.0
+
+    def test_product_annulus(self):
+        # S(-1+) = 1/((1 - 1/4)(1 - 1/2)): inner radius sqrt(3/8)
+        r_in, r_out = I.ring_radii(M.boxtimes(M.mp(F(1, 4)), M.mp(F(1, 2))))
+        assert abs(r_in - math.sqrt(3 / 8)) <= 1e-15
         assert r_out == 1.0
 
     def test_outer_radius_is_sqrt_first_moment(self):

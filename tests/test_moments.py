@@ -75,11 +75,6 @@ class TestMomentsFromResolvent:
         from_product = Mo.boxtimes_moments(m_as, m_mp, 10)
         assert from_cubic.values == from_product.values
 
-    def test_hankel_positivity(self):
-        poly = M.build_resolvent(M.mp(1))
-        ms = Mo.moments_from_resolvent(poly, 8)
-        assert all(d >= 0 for d in ms.hankel_determinants(4))
-
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(st.booleans(),
            st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 2])),

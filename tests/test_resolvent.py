@@ -644,6 +644,19 @@ class TestFreeProjections:
         # a fresh descent to x = hi - W/1000, after no walk, landed on w = -1
         assert R.density(M.build_resolvent(spec), xs[-1], edge_margin=0.0) == got[-1]
 
+    def test_hand_built_columns_with_a_common_factor(self):
+        # a0 = (w + 1/2)^2 (1 + w), aq = -w (1 + w)^2: the PQP law at
+        # p = q = 1/2 with the factor 1 + w left in, given without a spec
+        half = F(1, 2)
+        poly = M.ResolventPolynomial(a0=(F(1, 4), F(5, 4), F(2), F(1)),
+                                     aq=(F(0), F(-1), F(-2), F(-1)), clearing_power=1)
+        assert (poly.a0, poly.aq) == ((F(1, 4), F(1), F(1)), (F(0), F(-1), F(-1)))
+        spec = M.rational_factor((1, 1), (half, 1)) * M.rational_factor((1, 1), (half, 1))
+        assert R.support_edges(poly)[:2] == (0.0, 1.0)
+        rho = R.density(poly, 0.999, edge_margin=0.0)
+        assert rho == R.density(M.build_resolvent(spec), 0.999, edge_margin=0.0)
+        assert abs(rho - 5.035439559973546) <= 1e-12
+
 
 class TestPotentialDerivative:
     def test_mp_at_two(self, mp_poly):
