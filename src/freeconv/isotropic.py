@@ -57,8 +57,10 @@ def _radial_law(spec):
     s_out = sum(b) / sum(a)
     if s_out <= 0:
         raise DomainError("S(0) must be positive")
-    ring = next(j for j, c in enumerate(a) if c) == q and b[0] / a[q] > 0
-    num, den = [0.0] * q + [float(c) for c in b], [float(c) for c in a]
+    m = next(j for j, c in enumerate(a) if c)  # multiplicity of F = 0 in A
+    ring = m == q and b[0] / a[q] > 0
+    k = min(m, q)  # cancel F^k, so that s keeps its accuracy for F near 0
+    num, den = [0.0] * (q - k) + [float(c) for c in b], [float(c) for c in a[k:]]
     polyval = np.polynomial.polynomial.polyval
     return ((lambda f: polyval(f, num) / polyval(f, den), q,
              float(b[0] / a[q]) if ring else math.inf, float(s_out)),
@@ -73,7 +75,7 @@ def _bracket(law, rs):
     radius, 0 inside the inner.  NonMonotoneError unless S^q is positive
     and decreasing at 64 points of (0, 1) in F."""
     s, q, s_in, s_out = law
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         scan = s(np.linspace(1e-9, 1.0 - 1e-9, 64))
         if not (np.all(np.isfinite(scan) & (scan > 0))
                 and np.all(np.diff(scan) <= 1e-12 * np.maximum(1.0, scan[:-1]))):

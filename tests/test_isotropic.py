@@ -21,6 +21,13 @@ class TestRadialCdf:
         for r in (0.1, 0.4, 0.8, 0.99):
             assert abs(I.radial_cdf(spec, r) - r) < 1e-10
 
+    def test_tiny_radius_in_a_disc(self):
+        # F = r^4 for mp(1)^(1/2), r^(2/3) for mp(1)^3: S = F^(-1/2), F^(-3)
+        half, cube = M.free_power(M.mp(1), F(1, 2)), M.free_power(M.mp(1), 3)
+        assert abs(I.radial_cdf(half, 1e-40) / 1e-160 - 1.0) <= 1e-12
+        assert abs(I.radial_cdf(cube, 1e-150) / 1e-100 - 1.0) <= 1e-12
+        assert I.radial_cdf(half, 1e-80) == 0.0  # r^4 below the float range
+
     def test_clamps(self):
         assert I.radial_cdf(M.mp(1), 50.0) == 1.0
         assert I.radial_cdf(M.mp(1), 0.0) == 0.0
